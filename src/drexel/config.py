@@ -30,7 +30,6 @@ _SCHEMA = {
     "rho": (float, 1.0),
     "sigma2": (float, 0.0),
     "iterations": (int, 0),
-    "burn_in": (int, 0),
     "thin": (int, 1),
     "init": (str, "uniform"),
     "init_prob": (float, 0.5),
@@ -60,7 +59,6 @@ _SCHEMA = {
     "flip_prob": (float, 0.05),
     "weights": (str, ""),
     "weights_out": (str, "rbm_weights.bin"),
-    "gibbs_steps": (int, 100_000),
     "gibbs_burn_in": (int, 1000),
     # oracle-check
     "spins": (int, 2),

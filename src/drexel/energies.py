@@ -39,6 +39,10 @@ class EnergyModel:
         """Vectorized U over rows of xs; default falls back to a loop."""
         return np.array([self.value(x) for x in xs])
 
+    def value_and_grad(self, x: np.ndarray):
+        """(U, grad U) at x; models whose value and gradient share work override this."""
+        return self.value(x), self.gradient(x)
+
 
 def energy_value(model: EnergyModel, state: np.ndarray) -> float:
     """U at the embedded state; raises NumericError on a non-finite result."""
@@ -83,10 +87,14 @@ class QuadraticEnergy(EnergyModel):
         object.__setattr__(self, "b", b)
 
     def value(self, x):
-        return self.w * float(x @ self.J @ x) + float(self.b @ x)
+        return self.w * float(x @ (self.J @ x)) + float(self.b @ x)
 
     def gradient(self, x):
         return 2.0 * self.w * (self.J @ x) + self.b
+
+    def value_and_grad(self, x):
+        Jx = self.J @ x
+        return self.w * float(x @ Jx) + float(self.b @ x), 2.0 * self.w * Jx + self.b
 
     def value_batch(self, xs):
         return self.w * np.einsum("ij,ij->i", xs @ self.J, xs) + xs @ self.b
@@ -129,6 +137,10 @@ class RbmFreeEnergy(EnergyModel):
     def gradient(self, x):
         z = self.W @ x + self.c
         return self.W.T @ _sigmoid(z) + self.b
+
+    def value_and_grad(self, x):
+        z = self.W @ x + self.c
+        return float(np.sum(np.logaddexp(0.0, z))) + float(self.b @ x), self.W.T @ _sigmoid(z) + self.b
 
     def value_batch(self, xs):
         z = xs @ self.W.T + self.c

@@ -310,7 +310,8 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
     elif config.kind == "rbm-sample":
         jobs = [(config, s, config.weights) for s in seeds]
         results = _run_repeats(_rbm_sample_repeat, jobs, threads)
-        extra = [f"gibbs_reference = {config.gibbs_steps} steps, {config.gibbs_burn_in} burn-in"]
+        n_keep = len(range(0, config.iterations, config.thin))  # one reference state per kept chain state
+        extra = [f"gibbs_reference = {config.gibbs_burn_in} burn-in + {n_keep} kept steps per repeat"]
     else:
         raise DomainError(f"unknown kind {config.kind!r}")
 

@@ -238,7 +238,7 @@ def _swap_prob_grid(swap: SwapConfig, t1: float, t2: float, u: np.ndarray) -> np
     else:
         pair = u[:, None] + u[None, :]  # [x, w] -> U(x) + U(w)
         expo = beta * (pair[:, None, :, None] - pair[None, :, None, :])
-    return swap.rho * np.minimum(1.0, np.exp(expo))
+    return swap.rho * np.exp(np.minimum(0.0, expo))
 
 
 def exact_joint_kernel(

@@ -12,17 +12,23 @@ logit at candidate value v is
 normalized by an overflow-safe softmax.  The quadratic penalty is not divided
 by the temperature; a tempered-penalty parameterization is recovered by
 substituting alpha' = alpha * tau.
+
+Every chain carries its retained state together with that state's energy,
+gradient and log-proposal table.  A step draws from the carried table and
+evaluates the energy once, at the proposal: that one `value_and_grad` call
+gives the Metropolis energy, the reverse log-proposal and, on acceptance,
+the next forward table.  All public step functions wrap this one path.
 """
 
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .domains import BINARY01, SPIN_PM1, DomainSpec, embed
-from .energies import EnergyModel, energy_value
+from .energies import EnergyModel, _sigmoid, energy_value
 from .errors import DomainError, NumericError
 from .rng import SALT_HIGH, SALT_LOW, SALT_SWAP, substream
 
@@ -86,23 +92,25 @@ class StepOutcome:
     proposal_energy: float
 
 
+def _logits(x: np.ndarray, g: np.ndarray, values: np.ndarray, params: ChainParams) -> np.ndarray:
+    """(dim, levels) proposal logits at embedded state x with gradient g over the value set."""
+    diff = values[None, :] - x[:, None]
+    return g[:, None] / (2.0 * params.tau) * diff - diff**2 / (2.0 * params.alpha)
+
+
 def proposal_logits(model: EnergyModel, state: np.ndarray, params: ChainParams, coord: int) -> np.ndarray:
     """Unnormalized log proposal weights for one coordinate's value set."""
     domain = model.domain
     if not 0 <= coord < domain.dim:
         raise DomainError(f"coordinate {coord} out of range for dim {domain.dim}")
     x = embed(state, domain)
-    g = model.gradient(x)
-    diff = domain.value_table - x[coord]
-    return g[coord] / (2.0 * params.tau) * diff - diff**2 / (2.0 * params.alpha)
+    return _logits(x, model.gradient(x), domain.value_table, params)[coord]
 
 
 def _all_logits(model, state, params):
     """(dim, levels) logit matrix; row d is proposal_logits for coordinate d."""
     x = model.domain.value_table[state]
-    g = model.gradient(x)
-    diff = model.domain.value_table[None, :] - x[:, None]
-    return g[:, None] / (2.0 * params.tau) * diff - diff**2 / (2.0 * params.alpha)
+    return _logits(x, model.gradient(x), model.domain.value_table, params)
 
 
 def _log_softmax(logits):
@@ -111,35 +119,101 @@ def _log_softmax(logits):
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
+class _Chain(NamedTuple):
+    """A chain's retained state with its energy, gradient and log-softmax proposal table."""
+
+    state: np.ndarray
+    energy: float
+    grad: np.ndarray
+    logp: np.ndarray
+
+
+def _evaluate(model: EnergyModel, state: np.ndarray, params: ChainParams, label: str) -> _Chain:
+    """The one energy evaluation of a chain step: U, grad U and the proposal table at state.
+
+    Raises NumericError naming the chain when the energy or the gradient is
+    not finite, so a bad model can never drive the proposal or the Metropolis
+    test with NaNs.
+    """
+    values = model.domain.value_table
+    state = model.domain.validate_state(state)
+    x = values[state]
+    u, g = model.value_and_grad(x)
+    u = float(u)
+    g = np.asarray(g, dtype=float)
+    if not (np.isfinite(u) and np.isfinite(g).all()):
+        bad = int(np.count_nonzero(~np.isfinite(g)))
+        raise NumericError(
+            f"{label} chain: energy or gradient not finite (U = {u}, {bad} of {g.size} gradient entries non-finite)"
+        )
+    return _Chain(state, u, g, _log_softmax(_logits(x, g, values, params)))
+
+
+def _retable(model: EnergyModel, chain: _Chain, params: ChainParams) -> _Chain:
+    """The same state, energy and gradient with the proposal table of another chain's (alpha, tau)."""
+    values = model.domain.value_table
+    return chain._replace(logp=_log_softmax(_logits(values[chain.state], chain.grad, values, params)))
+
+
+def _dls(model: EnergyModel, chain: _Chain, params: ChainParams, rng: np.random.Generator, label: str):
+    """Draw every coordinate from the carried table, then evaluate the proposal once.
+
+    Returns the proposal's chain record with the forward and reverse
+    log-proposals; the reverse one is read off the proposal's own table and
+    is NaN unless the chain has its Metropolis correction enabled.
+    """
+    cum = np.exp(chain.logp).cumsum(axis=1)
+    cum /= cum[:, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
+    u = rng.random(chain.state.shape[0])
+    prop = (cum < u[:, None]).sum(axis=1).astype(np.int64)
+    rows = np.arange(prop.shape[0])
+    forward_logq = float(chain.logp[rows, prop].sum())
+    new = _evaluate(model, prop, params, label)
+    reverse_logq = float(new.logp[rows, chain.state].sum()) if params.mh_enabled else float("nan")
+    return new, forward_logq, reverse_logq
+
+
+def _metropolis(delta_u: float, tau: float, forward_logq: float, reverse_logq: float, rng) -> bool:
+    """Accept with probability min(1, exp(log ratio)) against pi^(1/tau); one uniform draw."""
+    log_a = delta_u / tau + reverse_logq - forward_logq
+    # min(log_a, 0.0) keeps a NaN ratio NaN, and u < NaN never accepts
+    return bool(rng.random() < np.exp(min(log_a, 0.0)))
+
+
+def _step(model: EnergyModel, chain: _Chain, params: ChainParams, rng: np.random.Generator, label: str):
+    """One chain update on the cached path: returns (retained chain record, outcome)."""
+    new, forward_logq, reverse_logq = _dls(model, chain, params, rng, label)
+    delta_u = new.energy - chain.energy
+    accepted = not params.mh_enabled or _metropolis(delta_u, params.tau, forward_logq, reverse_logq, rng)
+    kept = new if accepted else chain
+    outcome = StepOutcome(
+        state=kept.state,
+        proposal=new.state,
+        forward_logq=forward_logq,
+        reverse_logq=reverse_logq,
+        accepted=accepted,
+        energy=kept.energy,
+        proposal_energy=new.energy,
+    )
+    return kept, outcome
+
+
 def dls_step(model: EnergyModel, state: np.ndarray, params: ChainParams, rng: np.random.Generator) -> StepOutcome:
     """Draw all coordinates from their categoricals (no accept/reject here).
 
-    The reverse log-proposal needs the gradient at the proposal, so it is only
-    computed when the chain has its Metropolis correction enabled; a chain
-    without it spends exactly one gradient evaluation per iteration.
+    The proposal's single energy evaluation gives its energy and, when the
+    chain has its Metropolis correction enabled, the reverse log-proposal.
     """
-    state = model.domain.validate_state(state)
-    logp = _log_softmax(_all_logits(model, state, params))
-    cum = np.exp(logp).cumsum(axis=1)
-    cum /= cum[:, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
-    u = rng.random(state.shape[0])
-    prop = (cum < u[:, None]).sum(axis=1).astype(np.int64)
-    rows = np.arange(state.shape[0])
-    forward_logq = float(logp[rows, prop].sum())
-    if params.mh_enabled:
-        rev_logp = _log_softmax(_all_logits(model, prop, params))
-        reverse_logq = float(rev_logp[rows, state].sum())
-    else:
-        reverse_logq = float("nan")
-    prop_energy = energy_value(model, prop)
+    chain = _evaluate(model, state, params, "low")
+    new, forward_logq, reverse_logq = _dls(model, chain, params, rng, "low")
     return StepOutcome(
-        state=prop,
-        proposal=prop,
+        state=new.state,
+        proposal=new.state,
         forward_logq=forward_logq,
         reverse_logq=reverse_logq,
         accepted=True,
-        energy=prop_energy,
-        proposal_energy=prop_energy,
+        energy=new.energy,
+        proposal_energy=new.energy,
     )
 
 
@@ -149,18 +223,9 @@ def binary_flip_probs(model: EnergyModel, state: np.ndarray, params: ChainParams
     if domain.kind not in (BINARY01, SPIN_PM1):
         raise DomainError(f"binary_flip_probs needs a two-level domain, got {domain.kind}")
     state = domain.validate_state(state)
-    x = domain.value_table[state]
-    other = domain.value_table[1 - state]
-    g = model.gradient(x)
-    diff = other - x
-    logit = g / (2.0 * params.tau) * diff - diff**2 / (2.0 * params.alpha)
+    logits = _all_logits(model, state, params)
     # two-category softmax against the zero stay-logit is a sigmoid
-    out = np.empty_like(logit)
-    pos = logit >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-logit[pos]))
-    e = np.exp(logit[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return _sigmoid(logits[np.arange(domain.dim), 1 - state])
 
 
 def mh_accept(
@@ -178,8 +243,9 @@ def mh_accept(
         current_energy = energy_value(model, current)
     if not np.isfinite(outcome.proposal_energy):
         raise NumericError(f"proposal energy not finite: {outcome.proposal_energy}")
-    log_a = (outcome.proposal_energy - current_energy) / params.tau + outcome.reverse_logq - outcome.forward_logq
-    return rng.random() < np.exp(min(0.0, log_a))
+    return _metropolis(
+        outcome.proposal_energy - current_energy, params.tau, outcome.forward_logq, outcome.reverse_logq, rng
+    )
 
 
 def chain_step(
@@ -190,14 +256,10 @@ def chain_step(
     current_energy: Optional[float] = None,
 ) -> StepOutcome:
     """One full chain update: propose, then apply the Metropolis decision if enabled."""
-    out = dls_step(model, state, params, rng)
-    if not params.mh_enabled:
-        return out
-    if current_energy is None:
-        current_energy = energy_value(model, state)
-    if mh_accept(model, params, out, state, rng, current_energy=current_energy):
-        return out
-    return replace(out, state=state, accepted=False, energy=current_energy)
+    chain = _evaluate(model, state, params, "low")
+    if current_energy is not None:
+        chain = chain._replace(energy=current_energy)
+    return _step(model, chain, params, rng, "low")[1]
 
 
 def swap_probability(
@@ -227,17 +289,16 @@ def swap_probability(
         # grouped per chain so exchanging next and previous energies is an
         # exact float identity, not merely a mathematical one
         exponent = beta * ((u_next1 + u_prev1) - (u_next2 + u_prev2))
-    return config.rho * min(1.0, float(np.exp(exponent)))
+    # min(1, e^x) == e^min(0, x), and the right side cannot overflow
+    return config.rho * float(np.exp(min(0.0, exponent)))
 
 
 @dataclass(frozen=True)
 class ReplicaPair:
-    """Two chain states with the cached previous-iteration energies."""
+    """A low- and a high-temperature chain, each carrying its retained state's energy, gradient and table."""
 
-    low: np.ndarray
-    high: np.ndarray
-    prev_energy_low: float
-    prev_energy_high: float
+    chain_low: _Chain
+    chain_high: _Chain
     params_low: ChainParams
     params_high: ChainParams
     swap: SwapConfig
@@ -249,6 +310,22 @@ class ReplicaPair:
                 "running anyway",
                 stacklevel=3,
             )
+
+    @property
+    def low(self) -> np.ndarray:
+        return self.chain_low.state
+
+    @property
+    def high(self) -> np.ndarray:
+        return self.chain_high.state
+
+    @property
+    def prev_energy_low(self) -> float:
+        return self.chain_low.energy
+
+    @property
+    def prev_energy_high(self) -> float:
+        return self.chain_high.energy
 
 
 @dataclass(frozen=True)
@@ -262,14 +339,39 @@ class IterationStats:
 
 def make_replica_pair(low, high, params_low, params_high, swap, model) -> ReplicaPair:
     return ReplicaPair(
-        low=model.domain.validate_state(low),
-        high=model.domain.validate_state(high),
-        prev_energy_low=energy_value(model, low),
-        prev_energy_high=energy_value(model, high),
+        chain_low=_evaluate(model, low, params_low, "low"),
+        chain_high=_evaluate(model, high, params_high, "high"),
         params_low=params_low,
         params_high=params_high,
         swap=swap,
     )
+
+
+_LABELS = ("low", "high")
+
+
+def _iterate(model, chains, params, rngs, swap, rng_swap):
+    """One sampler iteration over a single chain or a low/high pair.
+
+    Each chain takes one cached step.  A pair then tries a swap: its
+    probability sees the energies of the states actually retained after the
+    Metropolis decisions (U_next) together with those the iteration started
+    from (U_prev).  A swap exchanges states, energies and gradients, and
+    rebuilds each proposal table under the receiving chain's (alpha, tau).
+    Returns (chains, accepted flags, swapped).
+    """
+    steps = [_step(model, c, p, r, label) for c, p, r, label in zip(chains, params, rngs, _LABELS)]
+    kept = [chain for chain, _ in steps]
+    accepted = [out.accepted for _, out in steps]
+    if len(kept) == 1:
+        return kept, accepted, False
+    low, high = kept
+    p_swap = swap_probability(
+        swap, params[0].tau, params[1].tau, low.energy, high.energy, chains[0].energy, chains[1].energy
+    )
+    if rng_swap.random() < p_swap:
+        return [_retable(model, high, params[0]), _retable(model, low, params[1])], accepted, True
+    return kept, accepted, False
 
 
 def replica_step(
@@ -286,35 +388,22 @@ def replica_step(
     from the start of the iteration (U_prev); the caches roll forward to the
     post-swap current energies.
     """
-    out_low = chain_step(model, pair.low, pair.params_low, rng_low, current_energy=pair.prev_energy_low)
-    out_high = chain_step(model, pair.high, pair.params_high, rng_high, current_energy=pair.prev_energy_high)
-    p_swap = swap_probability(
+    (low, high), accepted, swapped = _iterate(
+        model,
+        (pair.chain_low, pair.chain_high),
+        (pair.params_low, pair.params_high),
+        (rng_low, rng_high),
         pair.swap,
-        pair.params_low.tau,
-        pair.params_high.tau,
-        out_low.energy,
-        out_high.energy,
-        pair.prev_energy_low,
-        pair.prev_energy_high,
-    )
-    swapped = bool(rng_swap.random() < p_swap)
-    if swapped:
-        new_low, new_high = out_high.state, out_low.state
-        e_low, e_high = out_high.energy, out_low.energy
-    else:
-        new_low, new_high = out_low.state, out_high.state
-        e_low, e_high = out_low.energy, out_high.energy
-    new_pair = replace(
-        pair, low=new_low, high=new_high, prev_energy_low=e_low, prev_energy_high=e_high
+        rng_swap,
     )
     stats = IterationStats(
-        accepted_low=out_low.accepted,
-        accepted_high=out_high.accepted,
+        accepted_low=accepted[0],
+        accepted_high=accepted[1],
         swapped=swapped,
-        energy_low=e_low,
-        energy_high=e_high,
+        energy_low=low.energy,
+        energy_high=high.energy,
     )
-    return new_pair, stats
+    return replace(pair, chain_low=low, chain_high=high), stats
 
 
 @dataclass(frozen=True)
@@ -402,74 +491,50 @@ def run_sampler(model: EnergyModel, config: RunConfig) -> RunTrace:
 
     Single-chain samplers are the rho=0, one-chain degenerate case: they use
     the same low-chain substream, so a DREXEL run with rho=0 is
-    trajectory-identical on its low chain to the standalone run.
+    trajectory-identical on its low chain to the standalone run.  Every
+    iteration evaluates the energy once per chain, at its proposal.  A
+    non-finite energy or gradient raises NumericError naming the seed, the
+    iteration and the chain.
     """
     t0 = time.perf_counter()
     domain = model.domain
-    rng_low = substream(config.seed, SALT_LOW)
+    replica = config.is_replica
+    n = 2 if replica else 1
+    params = config.chain_params()[:n]
+    rngs = [substream(config.seed, salt) for salt in (SALT_LOW, SALT_HIGH)[:n]]
+    rng_swap = substream(config.seed, SALT_SWAP) if replica else None
     iters = config.iterations
-    kept = range(0, iters, config.thin)
-    states = np.empty((len(kept), domain.dim), dtype=np.int16)
-    energy_low = np.empty(iters)
-    accepted_low = np.empty(iters, dtype=bool)
-    params_low, params_high = config.chain_params()
-
-    if not config.is_replica:
-        state = _draw_init(domain, config, rng_low)
-        energy = energy_value(model, state)
-        k = 0
+    states = np.empty((len(range(0, iters, config.thin)), domain.dim), dtype=np.int16)
+    energies = np.empty((n, iters))
+    accepted = np.empty((n, iters), dtype=bool)
+    swapped = np.zeros(iters, dtype=bool)
+    swap = config.swap_config() if replica else None
+    i = None
+    try:
+        inits = [_draw_init(domain, config, rng) for rng in rngs]
+        if replica:
+            pair = make_replica_pair(inits[0], inits[1], params[0], params[1], swap, model)
+            chains = [pair.chain_low, pair.chain_high]
+        else:
+            chains = [_evaluate(model, inits[0], params[0], "low")]
         for i in range(iters):
-            out = chain_step(model, state, params_low, rng_low, current_energy=energy)
-            state, energy = out.state, out.energy
-            energy_low[i] = energy
-            accepted_low[i] = out.accepted
+            chains, accepted[:, i], swapped[i] = _iterate(model, chains, params, rngs, swap, rng_swap)
+            for c, chain in enumerate(chains):
+                energies[c, i] = chain.energy
             if i % config.thin == 0:
-                states[k] = state
-                k += 1
-        return RunTrace(
-            states=states,
-            energy_low=energy_low,
-            energy_high=None,
-            accepted_low=accepted_low,
-            accepted_high=None,
-            swapped=None,
-            iterations=iters,
-            swap_attempts=0,
-            swap_successes=0,
-            seed=config.seed,
-            thin=config.thin,
-            wall_clock=time.perf_counter() - t0,
-            domain=domain,
-        )
-
-    rng_high = substream(config.seed, SALT_HIGH)
-    rng_swap = substream(config.seed, SALT_SWAP)
-    low = _draw_init(domain, config, rng_low)
-    high = _draw_init(domain, config, rng_high)
-    pair = make_replica_pair(low, high, params_low, params_high, config.swap_config(), model)
-    energy_high = np.empty(iters)
-    accepted_high = np.empty(iters, dtype=bool)
-    swapped = np.empty(iters, dtype=bool)
-    k = 0
-    for i in range(iters):
-        pair, stats = replica_step(pair, model, rng_low, rng_high, rng_swap)
-        energy_low[i] = stats.energy_low
-        energy_high[i] = stats.energy_high
-        accepted_low[i] = stats.accepted_low
-        accepted_high[i] = stats.accepted_high
-        swapped[i] = stats.swapped
-        if i % config.thin == 0:
-            states[k] = pair.low
-            k += 1
+                states[i // config.thin] = chains[0].state
+    except NumericError as exc:
+        where = "initial states" if i is None else f"iteration {i}"
+        raise NumericError(f"seed {config.seed}, {where}: {exc}") from exc
     return RunTrace(
         states=states,
-        energy_low=energy_low,
-        energy_high=energy_high,
-        accepted_low=accepted_low,
-        accepted_high=accepted_high,
-        swapped=swapped,
+        energy_low=energies[0],
+        energy_high=energies[1] if replica else None,
+        accepted_low=accepted[0],
+        accepted_high=accepted[1] if replica else None,
+        swapped=swapped if replica else None,
         iterations=iters,
-        swap_attempts=iters,
+        swap_attempts=iters if replica else 0,
         swap_successes=int(swapped.sum()),
         seed=config.seed,
         thin=config.thin,

@@ -126,3 +126,10 @@ def test_oracle_check_requires_chain_params():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.cfg")
+
+
+@pytest.mark.parametrize("key", ["burn_in", "gibbs_steps"])
+def test_removed_keys_fail_closed(key):
+    """Keys that never changed a run are gone; configs that set them are rejected."""
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(MINIMAL_SYNTHETIC + f"{key} = 10\n")

@@ -161,3 +161,26 @@ class TestIsingLattice:
     def test_chain_adjacency(self):
         model = make_ising_chain(3, 0.15, np.zeros(3))
         assert np.array_equal(model.J, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+def _value_and_grad_models():
+    rng = np.random.default_rng(17)
+    J = rng.normal(size=(5, 5))
+    yield QuadraticEnergy(domain=DomainSpec.spin_pm1(5), J=J + J.T, b=rng.normal(size=5), w=0.7)
+    yield make_ising_lattice(3, 0.15, np.full(9, 0.1), True)
+    yield RbmFreeEnergy(
+        domain=DomainSpec.binary01(6), W=rng.normal(size=(4, 6)), c=rng.normal(size=4), b=rng.normal(size=6)
+    )
+    for name in SYNTHETIC_NAMES:
+        yield make_synthetic(name, levels=9)
+
+
+@pytest.mark.parametrize("model", list(_value_and_grad_models()), ids=lambda m: type(m).__name__)
+def test_value_and_grad_is_value_and_gradient_bit_for_bit(model):
+    """The fused evaluation shares work but must not change a single bit."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x = model.domain.value_table[rng.integers(0, model.domain.levels, size=model.domain.dim)]
+        u, g = model.value_and_grad(x)
+        assert u == model.value(x)
+        assert np.array_equal(g, model.gradient(x))

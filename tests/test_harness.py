@@ -10,6 +10,7 @@ import pytest
 
 from drexel.config import parse_config
 from drexel.domains import DomainSpec
+from drexel.energies import EnergyModel
 from drexel.harness import _write_pgm, emit_heatmap, run_experiment
 from drexel.metrics import EmpiricalHist
 
@@ -254,6 +255,8 @@ mmd_features = 100
         summary = run_experiment(sample_cfg, out=str(tmp_path / "sample"))
         assert "mmd" in summary
         assert summary["mmd"][0] < 0.5
+        meta = (tmp_path / "sample" / "meta.txt").read_text()
+        assert "gibbs_reference = 100 burn-in + 500 kept steps per repeat" in meta
 
 
 class TestOracleCheckRun:
@@ -326,6 +329,29 @@ class TestCli:
         proc = self._run("run", str(cfg_path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "weights file not found" in proc.stderr
+
+    def test_non_finite_gradient_exit_3(self, tmp_path, monkeypatch, capsys):
+        """A NaN gradient is a numeric error (exit 3), not a config error."""
+        from drexel import cli, harness
+
+        class NanGradient(EnergyModel):
+            def __init__(self, inner):
+                self.inner = inner
+                self.domain = inner.domain
+
+            def value(self, x):
+                return self.inner.value(x)
+
+            def gradient(self, x):
+                return np.full(self.domain.dim, np.nan)
+
+        real_build = harness._build_model
+        monkeypatch.setattr(harness, "_build_model", lambda config: NanGradient(real_build(config)))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SYNTH_CFG.replace("repeats = 2", "repeats = 1"))
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "seed 7" in err and "low chain" in err and "not finite" in err
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

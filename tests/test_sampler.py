@@ -1,5 +1,8 @@
 """Proposal construction, Metropolis decisions, swap functions, replica stepping."""
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +20,10 @@ from drexel import (
     swap_probability,
 )
 from drexel.domains import DomainSpec
-from drexel.energies import QuadraticEnergy
+from drexel.energies import EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
-from drexel.sampler import chain_step, make_replica_pair, replica_step
+from drexel.sampler import StepOutcome, chain_step, make_replica_pair, mh_accept, replica_step
 
 
 def zero_gradient_model(domain):
@@ -191,9 +194,17 @@ class TestMhAccept:
         assert np.exp(min(0.0, log_a)) + np.exp(min(0.0, log_a_rev)) > 1.0  # one side is certain
         assert np.exp(log_a) * np.exp(log_a_rev) == pytest.approx(1.0, abs=1e-12)
 
-    def test_missing_reverse_logq_fails_loudly(self, two_spin_ising):
-        from drexel import mh_accept
+    def test_nan_log_ratio_never_accepts(self, two_spin_ising):
+        params = ChainParams(alpha=0.4, mh_enabled=True)
+        state = np.array([0, 1])
+        out = StepOutcome(
+            state=state, proposal=state, forward_logq=float("nan"), reverse_logq=-0.5,
+            accepted=True, energy=-0.3, proposal_energy=-0.3,
+        )
+        rng = substream(4, SALT_LOW)
+        assert not any(mh_accept(two_spin_ising, params, out, state, rng, current_energy=-0.3) for _ in range(100))
 
+    def test_missing_reverse_logq_fails_loudly(self, two_spin_ising):
         out = dls_step(two_spin_ising, np.array([0, 1]), ChainParams(alpha=0.4), substream(0, SALT_LOW))
         with pytest.raises(DomainError):
             mh_accept(two_spin_ising, ChainParams(alpha=0.4, mh_enabled=True), out, np.array([0, 1]), substream(1, SALT_LOW))
@@ -247,6 +258,15 @@ class TestSwapProbability:
         cfg = SwapConfig(variant="history", rho=0.25)
         p = swap_probability(cfg, 1.0, 2.0, 5.0, -5.0, 5.0, -5.0)
         assert 0.0 <= p <= 0.25
+
+    @pytest.mark.parametrize("variant", ["naive", "bias_corrected", "history"])
+    def test_extreme_energies_do_not_overflow(self, variant):
+        """beta * dU of 1e6 must give rho or 0 without an overflow warning."""
+        cfg = SwapConfig(variant=variant, rho=0.5, sigma2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert swap_probability(cfg, 1.0, 2.0, -1e6, 1e6, -1e6, 1e6) == 0.5
+            assert swap_probability(cfg, 1.0, 2.0, 1e6, -1e6, 1e6, -1e6) == 0.0
 
 
 class TestReplica:
@@ -433,3 +453,90 @@ class TestEmpiricalKernelMatchesOracle:
         z = np.abs(emp - exact) / se
         assert z.max() <= 4.0
         assert np.mean(z <= 3.0) >= 0.985
+
+
+class CountingModel(EnergyModel):
+    """Delegates to a model and counts each kind of energy evaluation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.domain = inner.domain
+        self.calls = Counter()
+
+    def value(self, x):
+        self.calls["value"] += 1
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.calls["gradient"] += 1
+        return self.inner.gradient(x)
+
+    def value_and_grad(self, x):
+        self.calls["value_and_grad"] += 1
+        return self.inner.value_and_grad(x)
+
+
+def _run_kwargs(sampler):
+    kwargs = dict(sampler=sampler, seed=8, alpha=0.1)
+    if sampler in ("drexel", "dream", "bdrexel", "bdream"):
+        kwargs.update(alpha_high=0.3, tau_high=2.0, sigma2=0.5)
+    return kwargs
+
+
+class TestOneEvaluationPerChain:
+    @pytest.mark.parametrize(
+        "sampler,chains",
+        [("dula", 1), ("dmala", 1), ("drexel", 2), ("dream", 2), ("bdrexel", 2), ("bdream", 2)],
+    )
+    def test_energy_evaluations_per_iteration(self, sampler, chains):
+        """Each chain evaluates the energy once per iteration, fused, at its proposal."""
+        from drexel import make_synthetic
+
+        per_run = {}
+        for iters in (100, 200):
+            model = CountingModel(make_synthetic("16gaussian", levels=16))
+            run_sampler(model, RunConfig(iterations=iters, **_run_kwargs(sampler)))
+            per_run[iters] = model.calls
+        assert per_run[100] == Counter(value_and_grad=chains * 101)  # one per chain at the start
+        assert per_run[200]["value_and_grad"] - per_run[100]["value_and_grad"] == chains * 100
+
+
+def _nan_gradient_model(bad):
+    """16-Gaussian energy on a 16-level grid whose gradient is NaN wherever bad(x) holds."""
+    from drexel import make_synthetic
+
+    inner = make_synthetic("16gaussian", levels=16)
+
+    class NanGradient(EnergyModel):
+        domain = inner.domain
+
+        def value(self, x):
+            return inner.value(x)
+
+        def gradient(self, x):
+            g = inner.gradient(x)
+            return np.full_like(g, np.nan) if bad(x) else g
+
+    return NanGradient()
+
+
+class TestNonFiniteFailsLoudly:
+    @pytest.mark.parametrize("sampler", ["dula", "dmala", "dream"])
+    def test_nan_gradient_names_seed_iteration_and_chain(self, sampler):
+        model = _nan_gradient_model(lambda x: x[0] > 1.0)
+        cfg = RunConfig(iterations=2000, **_run_kwargs(sampler))
+        expected = r"seed 8, iteration \d+: (low|high) chain: energy or gradient not finite"
+        with pytest.raises(NumericError, match=expected):
+            run_sampler(model, cfg)
+
+    def test_nan_at_start_names_initial_states(self):
+        model = _nan_gradient_model(lambda x: True)
+        with pytest.raises(NumericError, match="seed 8, initial states: low chain"):
+            run_sampler(model, RunConfig(iterations=10, **_run_kwargs("dmala")))
+
+    @pytest.mark.parametrize("step", ["dls_step", "chain_step"])
+    def test_public_steps_reject_nan_gradient(self, step):
+        model = _nan_gradient_model(lambda x: True)
+        fn = dls_step if step == "dls_step" else chain_step
+        with pytest.raises(NumericError):
+            fn(model, np.array([3, 4]), ChainParams(alpha=0.1, mh_enabled=True), substream(0, SALT_LOW))
