@@ -128,12 +128,23 @@ class _Chain(NamedTuple):
     logp: np.ndarray
 
 
+def _table(x: np.ndarray, g: np.ndarray, values: np.ndarray, params: ChainParams, label: str) -> np.ndarray:
+    """Log-softmax proposal table; a finite gradient can still overflow g / (2 tau) * diff."""
+    logits = _logits(x, g, values, params)
+    if not np.isfinite(logits).all():
+        raise NumericError(
+            f"{label} chain: proposal logits overflow at alpha = {params.alpha}, tau = {params.tau} "
+            f"(largest |gradient| entry {np.abs(g).max()})"
+        )
+    return _log_softmax(logits)
+
+
 def _evaluate(model: EnergyModel, state: np.ndarray, params: ChainParams, label: str) -> _Chain:
     """The one energy evaluation of a chain step: U, grad U and the proposal table at state.
 
-    Raises NumericError naming the chain when the energy or the gradient is
-    not finite, so a bad model can never drive the proposal or the Metropolis
-    test with NaNs.
+    Raises NumericError naming the chain when the energy, the gradient or a
+    proposal logit is not finite, so a bad model can never drive the
+    proposal or the Metropolis test with NaNs.
     """
     values = model.domain.value_table
     state = model.domain.validate_state(state)
@@ -146,13 +157,13 @@ def _evaluate(model: EnergyModel, state: np.ndarray, params: ChainParams, label:
         raise NumericError(
             f"{label} chain: energy or gradient not finite (U = {u}, {bad} of {g.size} gradient entries non-finite)"
         )
-    return _Chain(state, u, g, _log_softmax(_logits(x, g, values, params)))
+    return _Chain(state, u, g, _table(x, g, values, params, label))
 
 
-def _retable(model: EnergyModel, chain: _Chain, params: ChainParams) -> _Chain:
+def _retable(model: EnergyModel, chain: _Chain, params: ChainParams, label: str) -> _Chain:
     """The same state, energy and gradient with the proposal table of another chain's (alpha, tau)."""
     values = model.domain.value_table
-    return chain._replace(logp=_log_softmax(_logits(values[chain.state], chain.grad, values, params)))
+    return chain._replace(logp=_table(values[chain.state], chain.grad, values, params, label))
 
 
 def _dls(model: EnergyModel, chain: _Chain, params: ChainParams, rng: np.random.Generator, label: str):
@@ -370,7 +381,7 @@ def _iterate(model, chains, params, rngs, swap, rng_swap):
         swap, params[0].tau, params[1].tau, low.energy, high.energy, chains[0].energy, chains[1].energy
     )
     if rng_swap.random() < p_swap:
-        return [_retable(model, high, params[0]), _retable(model, low, params[1])], accepted, True
+        return [_retable(model, high, params[0], "low"), _retable(model, low, params[1], "high")], accepted, True
     return kept, accepted, False
 
 

@@ -534,6 +534,14 @@ class TestNonFiniteFailsLoudly:
         with pytest.raises(NumericError, match="seed 8, initial states: low chain"):
             run_sampler(model, RunConfig(iterations=10, **_run_kwargs("dmala")))
 
+    @pytest.mark.parametrize("sampler", ["dula", "dmala"])
+    def test_overflowing_logits_fail_loudly(self, sampler):
+        """A finite gradient so large that g / (2 tau) overflows must not give a NaN proposal table."""
+        model = QuadraticEnergy(domain=DomainSpec.spin_pm1(2), J=np.zeros((2, 2)), b=np.array([1e306, -1e306]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="seed 8, initial states: low chain: proposal logits overflow"):
+                run_sampler(model, RunConfig(iterations=10, **_run_kwargs(sampler), tau=1e-3))
+
     @pytest.mark.parametrize("step", ["dls_step", "chain_step"])
     def test_public_steps_reject_nan_gradient(self, step):
         model = _nan_gradient_model(lambda x: True)
