@@ -20,6 +20,7 @@ gives the Metropolis energy, the reverse log-proposal and, on acceptance,
 the next forward table.  All public step functions wrap this one path.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -129,34 +130,39 @@ class _Chain(NamedTuple):
 
 
 def _table(x: np.ndarray, g: np.ndarray, values: np.ndarray, params: ChainParams, label: str) -> np.ndarray:
-    """Log-softmax proposal table; a finite gradient can still overflow g / (2 tau) * diff."""
-    logits = _logits(x, g, values, params)
-    if not np.isfinite(logits).all():
-        raise NumericError(
-            f"{label} chain: proposal logits overflow at alpha = {params.alpha}, tau = {params.tau} "
-            f"(largest |gradient| entry {np.abs(g).max()})"
-        )
-    return _log_softmax(logits)
+    """Log-softmax proposal table at embedded state x with gradient g.
+
+    Every row holds the zero-distance stay entry, so a non-finite gradient,
+    or a finite one whose g / (2 tau) * diff overflows, turns the table NaN;
+    that raises NumericError naming the chain.  A step size so small that the
+    move penalty is infinite only zeroes the move probabilities.
+    """
+    logp = _log_softmax(_logits(x, g, values, params))
+    if np.isnan(logp).any():
+        bad = int(np.count_nonzero(~np.isfinite(g)))
+        if bad:
+            cause = f"{bad} of {g.size} gradient entries not finite"
+        else:
+            cause = f"gradient overflows the logits at tau = {params.tau}"
+        raise NumericError(f"{label} chain: {cause}")
+    return logp
 
 
 def _evaluate(model: EnergyModel, state: np.ndarray, params: ChainParams, label: str) -> _Chain:
     """The one energy evaluation of a chain step: U, grad U and the proposal table at state.
 
-    Raises NumericError naming the chain when the energy, the gradient or a
-    proposal logit is not finite, so a bad model can never drive the
-    proposal or the Metropolis test with NaNs.
+    Raises NumericError naming the chain when the energy or the gradient is
+    not finite, so a bad model can never drive the proposal or the
+    Metropolis test with NaNs.
     """
     values = model.domain.value_table
     state = model.domain.validate_state(state)
     x = values[state]
     u, g = model.value_and_grad(x)
     u = float(u)
+    if not math.isfinite(u):
+        raise NumericError(f"{label} chain: energy not finite (U = {u})")
     g = np.asarray(g, dtype=float)
-    if not (np.isfinite(u) and np.isfinite(g).all()):
-        bad = int(np.count_nonzero(~np.isfinite(g)))
-        raise NumericError(
-            f"{label} chain: energy or gradient not finite (U = {u}, {bad} of {g.size} gradient entries non-finite)"
-        )
     return _Chain(state, u, g, _table(x, g, values, params, label))
 
 

@@ -525,7 +525,7 @@ class TestNonFiniteFailsLoudly:
     def test_nan_gradient_names_seed_iteration_and_chain(self, sampler):
         model = _nan_gradient_model(lambda x: x[0] > 1.0)
         cfg = RunConfig(iterations=2000, **_run_kwargs(sampler))
-        expected = r"seed 8, iteration \d+: (low|high) chain: energy or gradient not finite"
+        expected = r"seed 8, iteration \d+: (low|high) chain: 2 of 2 gradient entries not finite"
         with pytest.raises(NumericError, match=expected):
             run_sampler(model, cfg)
 
@@ -539,8 +539,19 @@ class TestNonFiniteFailsLoudly:
         """A finite gradient so large that g / (2 tau) overflows must not give a NaN proposal table."""
         model = QuadraticEnergy(domain=DomainSpec.spin_pm1(2), J=np.zeros((2, 2)), b=np.array([1e306, -1e306]))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="seed 8, initial states: low chain: proposal logits overflow"):
+            with pytest.raises(NumericError, match="seed 8, initial states: low chain: gradient overflows the logits"):
                 run_sampler(model, RunConfig(iterations=10, **_run_kwargs(sampler), tau=1e-3))
+
+    def test_vanishing_step_size_stays_put(self, two_spin_ising):
+        """An infinite move penalty is not a numeric fault: the chain just never moves."""
+        with np.errstate(over="ignore"):
+            trace = run_sampler(two_spin_ising, RunConfig(sampler="dmala", iterations=20, seed=2, alpha=1e-310))
+        assert (trace.states == trace.states[0]).all() and trace.accepted_low.all()
+
+    def test_nan_energy_fails_loudly(self):
+        model = QuadraticEnergy(domain=DomainSpec.spin_pm1(2), J=np.zeros((2, 2)), b=np.array([np.nan, 0.0]))
+        with pytest.raises(NumericError, match="seed 8, initial states: low chain: energy not finite"):
+            run_sampler(model, RunConfig(iterations=10, **_run_kwargs("dula")))
 
     @pytest.mark.parametrize("step", ["dls_step", "chain_step"])
     def test_public_steps_reject_nan_gradient(self, step):
