@@ -15,6 +15,7 @@ from drexel import (
     binary_flip_probs,
     dls_step,
     make_ising_chain,
+    make_synthetic,
     proposal_logits,
     run_sampler,
     swap_probability,
@@ -490,8 +491,6 @@ class TestOneEvaluationPerChain:
     )
     def test_energy_evaluations_per_iteration(self, sampler, chains):
         """Each chain evaluates the energy once per iteration, fused, at its proposal."""
-        from drexel import make_synthetic
-
         per_run = {}
         for iters in (100, 200):
             model = CountingModel(make_synthetic("16gaussian", levels=16))
@@ -503,8 +502,6 @@ class TestOneEvaluationPerChain:
 
 def _nan_gradient_model(bad):
     """16-Gaussian energy on a 16-level grid whose gradient is NaN wherever bad(x) holds."""
-    from drexel import make_synthetic
-
     inner = make_synthetic("16gaussian", levels=16)
 
     class NanGradient(EnergyModel):
