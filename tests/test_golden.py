@@ -1,9 +1,11 @@
 """Golden hashes: sampler trajectories and run artifacts must stay byte-identical.
 
-Each case runs a sampler at a fixed seed and hashes every array of the
-resulting RunTrace (wall-clock time excluded).  A moved hash means the
-random draws, their order or the floating-point arithmetic of a step
-changed; re-pin a hash only together with the reason it moved.
+Each trace case runs a sampler at a fixed seed and hashes every array of
+the resulting RunTrace (wall-clock time excluded).  Each whole-run case
+runs `run_experiment` on a small 3-repeat config and hashes every artifact
+it writes.  A moved hash means the random draws, their order or the
+floating-point arithmetic of a step changed; re-pin a hash only together
+with the reason it moved.
 """
 
 import hashlib
@@ -13,9 +15,10 @@ import pytest
 
 from drexel import RunConfig, make_ising_chain, make_synthetic, run_sampler
 from drexel.config import parse_config
-from drexel.domains import DomainSpec
+from drexel.domains import DomainSpec, embed_all
 from drexel.energies import RbmFreeEnergy
 from drexel.harness import run_experiment
+from drexel.rbm import save_rbm
 
 
 def _random_rbm():
@@ -118,3 +121,110 @@ mmd_features = 50
     run_experiment(cfg, out=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "run_13.csv").read_bytes()).hexdigest()
     assert digest == RUN_CSV_GOLDEN
+
+
+LANDSCAPE_GOLDEN = {
+    "16gaussian": "b8a29bd3a8fe61f173dfca643fd521a50f7259b2914119ad3f05533aea8ef8fb",
+    "2moons": "de0a1bb8cdf0027b4bbc4210b51cd1f18d2baa667cd00b1cd1f60b2661569f69",
+    "8gaussian": "09bce4c7054b439d3683a4aa9cec0c1f21e6df7eaf544f4649c61b83cf9817d4",
+    "flower": "5b2dad42fb7c636206975a9a4ceae09f5a86731de9db0141bcb8901fd0227243",
+    "moon": "7dbd02811d3da957f17a7fb15afa5232b57f2b3c2051e13fc505e58f5f7f5ea2",
+    "twist": "3b56d632e6e7ccda0bb4926a1875e0d6fa7712dae6fa465c0c01aadcd7202c93",
+    "wave": "3f24a93be0bbd715595a34df318bdda54a7f5f9d5ee1a774bfa17c010fc5105c",
+}
+
+
+@pytest.mark.parametrize("which", sorted(LANDSCAPE_GOLDEN))
+def test_landscape_hash(which):
+    """Each 2-d landscape: a DMALA trace plus its energies over the whole grid."""
+    model = make_synthetic(which, levels=33)
+    trace = run_sampler(model, RunConfig(sampler="dmala", iterations=200, seed=37, alpha=0.3))
+    h = hashlib.sha256(trace_digest(trace).encode())
+    h.update(model.value_batch(embed_all(model.domain)).tobytes())
+    assert h.hexdigest() == LANDSCAPE_GOLDEN[which]
+
+
+WHOLE_RUN_CONFIGS = {
+    "synthetic": """
+kind = synthetic
+energy = 16gaussian
+grid_levels = 16
+sampler = dream
+alpha = 0.1
+alpha_high = 0.3
+tau_high = 2.0
+iterations = 300
+thin = 2
+repeats = 3
+seed = 41
+heatmap = true
+reference_samples = 400
+mmd_features = 40
+""",
+    "ising": """
+kind = ising
+side = 4
+coupling = 0.15
+field = 0.05
+sampler = drexel
+alpha = 0.4
+alpha_high = 0.9
+tau_high = 5.0
+iterations = 300
+repeats = 3
+seed = 43
+init = bernoulli
+init_prob = 0.6
+""",
+    "rbm-sample": """
+kind = rbm-sample
+weights = rbm12.bin
+sampler = dmala
+alpha = 0.2
+iterations = 300
+thin = 3
+repeats = 3
+seed = 47
+gibbs_burn_in = 20
+mmd_features = 40
+""",
+}
+
+WHOLE_RUN_GOLDEN = {
+    "synthetic": "c60d56c9aa234e74e001c2e33771f9c73c3cd59e323384057be6b8b7f407a466",
+    "ising": "1f0ee3d86002cfb475f229e3483d27df48abff4d922ab157ca361cefc4fccdbc",
+    "rbm-sample": "4f1d39b8048f4bd01cad69752e9e13915a3bfac7e0be7cfd76cf91ddd6ebc5f3",
+}
+
+
+def artifacts_digest(out) -> str:
+    """sha256 over every file's name and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def whole_run(kind, tmp_path, monkeypatch, threads=1):
+    monkeypatch.chdir(tmp_path)  # relative weights path keeps meta.txt free of tmp_path
+    save_rbm(_random_rbm(), "rbm12.bin")
+    out = tmp_path / f"out-{threads}"
+    run_experiment(parse_config(WHOLE_RUN_CONFIGS[kind]), out=str(out), threads=threads)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(WHOLE_RUN_GOLDEN))
+def test_whole_run_hash(kind, tmp_path, monkeypatch):
+    out = whole_run(kind, tmp_path, monkeypatch)
+    names = sorted(p.name for p in out.iterdir())
+    assert len([n for n in names if n.startswith("run_")]) == 3
+    assert ("empirical.pgm" in names) == (kind == "synthetic")
+    assert artifacts_digest(out) == WHOLE_RUN_GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "rbm-sample"])
+def test_two_threads_write_the_same_bytes(kind, tmp_path, monkeypatch):
+    """Repeats split over two worker processes give the single-process artifacts."""
+    out = whole_run(kind, tmp_path, monkeypatch, threads=2)
+    assert artifacts_digest(out) == WHOLE_RUN_GOLDEN[kind]
