@@ -21,6 +21,7 @@ from .sampler import (
     mh_accept,
     proposal_logits,
     replica_step,
+    run_batch,
     run_sampler,
     swap_probability,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "mh_accept",
     "proposal_logits",
     "replica_step",
+    "run_batch",
     "run_sampler",
     "swap_probability",
 ]

@@ -43,6 +43,11 @@ class EnergyModel:
         """(U, grad U) at x; models whose value and gradient share work override this."""
         return self.value(x), self.gradient(x)
 
+    def value_and_grad_batch(self, xs: np.ndarray):
+        """(U[K], grad U[K, dim]) over the K rows of xs; default falls back to a loop over value_and_grad."""
+        pairs = [self.value_and_grad(x) for x in xs]
+        return np.array([u for u, _ in pairs], dtype=float), np.array([g for _, g in pairs], dtype=float)
+
 
 def energy_value(model: EnergyModel, state: np.ndarray) -> float:
     """U at the embedded state; raises NumericError on a non-finite result."""
@@ -98,6 +103,13 @@ class QuadraticEnergy(EnergyModel):
 
     def value_batch(self, xs):
         return self.w * np.einsum("ij,ij->i", xs @ self.J, xs) + xs @ self.b
+
+    def value_and_grad_batch(self, xs):
+        """One X J for all rows.  Bit for bit the per-row value_and_grad whenever J x is exact in
+        floating point (0/1 couplings with +-1 or 0/1 states: every Ising lattice and chain here);
+        for a general real J the product's summation order, and so the last bits, may differ."""
+        XJ = xs @ self.J
+        return self.w * np.vecdot(xs, XJ) + np.vecdot(xs, self.b), 2.0 * self.w * XJ + self.b
 
 
 @dataclass(frozen=True)
@@ -201,96 +213,69 @@ class Synthetic2D(EnergyModel):
         if self.domain.dim != 2 or self.domain.kind != ORDINAL:
             raise DomainError("synthetic landscapes are defined on 2-d ordinal grids")
 
-    def value(self, p):
-        x, y = float(p[0]), float(p[1])
+    def value_and_grad_batch(self, xs):
+        """The landscape's one definition: U and grad U over the rows of xs."""
+        x, y = xs[:, 0], xs[:, 1]
         w = self.which
         if w == WAVE:
-            return np.sin(3 * x) * np.sin(3 * y)
-        if w == EIGHT_GAUSSIAN:
-            e = -((x - _EIGHT_CENTERS[:, 0]) ** 2 + (y - _EIGHT_CENTERS[:, 1]) ** 2) / (2 * self.sigma**2)
-            m = e.max()
-            return float(m + np.log(np.exp(e - m).sum()))
-        if w == SIXTEEN_GAUSSIAN:
-            return (x**2 + y**2) / 5.0 - self.c * (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y))
-        if w == MOON:
-            g = 4 * x - y**2 + 24.0 / 5.0
-            return -0.1 * y**4 - 0.5 * g**2
-        if w == TWO_MOONS:
-            r2 = x**2 + y**2
-            a = -0.5 * ((5 * x - 4) / 4) ** 2
-            b = -0.5 * ((5 * x + 4) / 4) ** 2
-            return -(2.0 / 25.0) * (r2 - 2) ** 2 + float(np.logaddexp(a, b))
-        if w == TWIST:
-            return -0.5 * (y - np.sin(np.pi * x / 2)) ** 2
-        r = np.hypot(x, y)
-        if r == 0.0:
-            return 1.0  # sin(0) + cos(0), angle-0 limit
-        return np.sin(r) + np.cos(5 * np.arctan2(y, x))
-
-    def gradient(self, p):
-        x, y = float(p[0]), float(p[1])
-        w = self.which
-        if w == WAVE:
-            return np.array([3 * np.cos(3 * x) * np.sin(3 * y), 3 * np.sin(3 * x) * np.cos(3 * y)])
-        if w == EIGHT_GAUSSIAN:
-            dx = x - _EIGHT_CENTERS[:, 0]
-            dy = y - _EIGHT_CENTERS[:, 1]
-            e = -(dx**2 + dy**2) / (2 * self.sigma**2)
-            wgt = np.exp(e - e.max())
-            wgt /= wgt.sum()
-            return np.array([-(wgt @ dx), -(wgt @ dy)]) / self.sigma**2
+            s, c = np.sin(3 * xs), np.cos(3 * xs)
+            return s[:, 0] * s[:, 1], 3 * c * s[:, ::-1]
         if w == SIXTEEN_GAUSSIAN:
             tp = 2 * np.pi
-            return np.array([2 * x / 5.0 + self.c * tp * np.sin(tp * x), 2 * y / 5.0 + self.c * tp * np.sin(tp * y)])
-        if w == MOON:
-            g = 4 * x - y**2 + 24.0 / 5.0
-            return np.array([-4 * g, -0.4 * y**3 + 2 * y * g])
-        if w == TWO_MOONS:
+            t = tp * xs
+            u = (xs**2).sum(axis=1) / 5.0 - self.c * np.cos(t).sum(axis=1)
+            return u, 2 * xs / 5.0 + self.c * tp * np.sin(t)
+        if w == EIGHT_GAUSSIAN:
+            dx = x[:, None] - _EIGHT_CENTERS[:, 0]
+            dy = y[:, None] - _EIGHT_CENTERS[:, 1]
+            e = -(dx**2 + dy**2) / (2 * self.sigma**2)
+            m = e.max(axis=1, keepdims=True)
+            wgt = np.exp(e - m)
+            total = wgt.sum(axis=1, keepdims=True)
+            u = (m + np.log(total))[:, 0]
+            wgt /= total
+            g = (-np.vecdot(wgt, dx) / self.sigma**2, -np.vecdot(wgt, dy) / self.sigma**2)
+        elif w == MOON:
+            q = 4 * x - y**2 + 24.0 / 5.0
+            u = -0.1 * y**4 - 0.5 * q**2
+            g = (-4 * q, -0.4 * y**3 + 2 * y * q)
+        elif w == TWO_MOONS:
             r2 = x**2 + y**2
             a = -0.5 * ((5 * x - 4) / 4) ** 2
             b = -0.5 * ((5 * x + 4) / 4) ** 2
+            u = -(2.0 / 25.0) * (r2 - 2) ** 2 + np.logaddexp(a, b)
             wa = 1.0 / (1.0 + np.exp(b - a))
-            wb = 1.0 - wa
-            dlog = -(5.0 / 16.0) * (wa * (5 * x - 4) + wb * (5 * x + 4))
-            return np.array([-(8.0 / 25.0) * (r2 - 2) * x + dlog, -(8.0 / 25.0) * (r2 - 2) * y])
-        if w == TWIST:
+            dlog = -(5.0 / 16.0) * (wa * (5 * x - 4) + (1.0 - wa) * (5 * x + 4))
+            g = (-(8.0 / 25.0) * (r2 - 2) * x + dlog, -(8.0 / 25.0) * (r2 - 2) * y)
+        elif w == TWIST:
             s = np.sin(np.pi * x / 2)
-            return np.array([(y - s) * (np.pi / 2) * np.cos(np.pi * x / 2), -(y - s)])
-        r = np.hypot(x, y)
-        if r == 0.0:
-            return np.array([1.0, 0.0])  # limit along the angle-0 ray
-        phi = np.arctan2(y, x)
-        cr = np.cos(r)
-        s5 = 5 * np.sin(5 * phi)
-        return np.array([cr * x / r + s5 * y / r**2, cr * y / r - s5 * x / r**2])
+            u = -0.5 * (y - s) ** 2
+            g = ((y - s) * (np.pi / 2) * np.cos(np.pi * x / 2), -(y - s))
+        else:
+            r = np.hypot(x, y)
+            phi = np.arctan2(y, x)
+            u = np.sin(r) + np.cos(5 * phi)
+            cr = np.cos(r)
+            s5 = 5 * np.sin(5 * phi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = (cr * x / r + s5 * y / r**2, cr * y / r - s5 * x / r**2)
+            origin = r == 0.0
+            u[origin] = 1.0  # sin(0) + cos(0), angle-0 limit
+            g[0][origin], g[1][origin] = 1.0, 0.0  # limit along the angle-0 ray
+        return u, np.stack(g, axis=1)
+
+    def value_and_grad(self, p):
+        u, g = self.value_and_grad_batch(np.asarray(p, dtype=float)[None, :])
+        return float(u[0]), g[0]
+
+    def value(self, p):
+        return self.value_and_grad(p)[0]
+
+    def gradient(self, p):
+        return self.value_and_grad(p)[1]
 
     def value_batch(self, xs):
-        w = self.which
-        x, y = xs[:, 0], xs[:, 1]
-        if w == WAVE:
-            return np.sin(3 * x) * np.sin(3 * y)
-        if w == SIXTEEN_GAUSSIAN:
-            return (x**2 + y**2) / 5.0 - self.c * (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y))
-        if w == EIGHT_GAUSSIAN:
-            e = -((x[:, None] - _EIGHT_CENTERS[None, :, 0]) ** 2 + (y[:, None] - _EIGHT_CENTERS[None, :, 1]) ** 2)
-            e /= 2 * self.sigma**2
-            m = e.max(axis=1)
-            return m + np.log(np.exp(e - m[:, None]).sum(axis=1))
-        if w == MOON:
-            g = 4 * x - y**2 + 24.0 / 5.0
-            return -0.1 * y**4 - 0.5 * g**2
-        if w == TWO_MOONS:
-            r2 = x**2 + y**2
-            a = -0.5 * ((5 * x - 4) / 4) ** 2
-            b = -0.5 * ((5 * x + 4) / 4) ** 2
-            return -(2.0 / 25.0) * (r2 - 2) ** 2 + np.logaddexp(a, b)
-        if w == TWIST:
-            return -0.5 * (y - np.sin(np.pi * x / 2)) ** 2
-        r = np.hypot(x, y)
-        phi = np.arctan2(y, x)
-        out = np.sin(r) + np.cos(5 * phi)
-        out[r == 0.0] = 1.0
-        return out
+        return self.value_and_grad_batch(np.asarray(xs, dtype=float))[0]
 
 
 def make_synthetic(which: str, levels: int = 256, c: float = 2.0) -> Synthetic2D:

@@ -1,14 +1,19 @@
 """Experiment runner: builds models from configs, runs repeats, writes artifacts.
 
-All outputs land inside the configured output directory: per-repeat run CSVs,
-per-repeat metric CSVs, a summary CSV with mean and std across repeats,
-grayscale heatmaps for 2-d tasks, and a metadata echo.  Re-running a config
+The repeats of a config are sampled together, as one batch through the
+sampler's kernel (with several threads, one batch per worker process over
+contiguous groups of repeat seeds).  All outputs land inside the
+configured output directory: per-repeat run and metric CSVs, a summary
+CSV with mean and std across repeats, grayscale heatmaps for 2-d tasks,
+and a metadata echo.  Re-running a config
 with the same seed reproduces every numeric field bit-exactly.
 """
 
 import csv
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -16,7 +21,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .domains import DomainSpec, embed_all
 from .energies import make_ising_chain, make_ising_lattice, make_synthetic
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .metrics import (
     EmpiricalHist,
     RffEstimator,
@@ -41,7 +46,6 @@ from .oracle import (
     tempered_pair_pmf,
 )
 from .rbm import (
-    BinaryDataset,
     RbmTrainConfig,
     load_dataset,
     load_rbm,
@@ -50,7 +54,7 @@ from .rbm import (
     train_rbm,
 )
 from .rng import SALT_REFERENCE, SALT_TRUTH, substream
-from .sampler import ChainParams, RunConfig, SwapConfig, run_sampler
+from .sampler import ChainParams, RunConfig, SwapConfig, run_batch
 
 
 def repeat_seed(base_seed: int, repeat_index: int) -> int:
@@ -65,8 +69,6 @@ def _write_pgm(weights: np.ndarray, domain: DomainSpec, path) -> None:
     grid = np.asarray(weights, dtype=float).reshape(n, n)  # [ix, iy]
     peak = grid.max()
     if peak <= 0:
-        import warnings
-
         warnings.warn(f"empty histogram; writing all-black heatmap to {path}")
         img = np.zeros((n, n), dtype=np.uint8)
     else:
@@ -84,11 +86,6 @@ def emit_heatmap(hist: EmpiricalHist, domain: DomainSpec, path) -> None:
     produces an all-black image (with a warning).
     """
     _write_pgm(hist.counts, domain, path)
-
-
-def density_heatmap(p: np.ndarray, domain: DomainSpec, path) -> None:
-    """Same rendering for an exact pmf."""
-    _write_pgm(p, domain, path)
 
 
 def _build_model(config: ExperimentConfig):
@@ -161,31 +158,27 @@ def write_summary_csv(path, per_repeat: list) -> None:
             writer.writerow([key, _fmt(vals.mean()), _fmt(vals.std())])
 
 
-def _sampling_metrics(trace, model, truth, truth_samples, rff):
+def _chain_metrics(trace, metrics: dict) -> dict:
+    """The kind-specific metrics followed by the swap and acceptance rates every sampling run reports."""
+    metrics["swap_rate"] = swap_rate(trace)
+    metrics["accept_rate_low"] = acceptance_rate(trace.accepted_low)
+    if trace.is_replica:
+        metrics["accept_rate_high"] = acceptance_rate(trace.accepted_high)
+    return metrics
+
+
+def _synthetic_metrics(model, truth, truth_features, rff, trace):
     hist = EmpiricalHist.from_states(trace.states, model.domain)
     chain_embedded = model.domain.value_table[trace.states.astype(np.int64)]
     weights = model.domain.levels ** np.arange(model.domain.dim - 1, -1, -1, dtype=np.int64)
     flat = trace.states.astype(np.int64) @ weights
     metrics = {
         "kl": kl_divergence(truth, hist),
-        "mmd": mmd_rff(truth_samples, chain_embedded, rff),
+        "mmd": mmd_rff(None, chain_embedded, rff, mean_x=truth_features),
         "nll": nll(truth, flat),
         "jump_rate": jump_rate(trace, model.domain),
-        "swap_rate": swap_rate(trace),
-        "accept_rate_low": acceptance_rate(trace.accepted_low),
     }
-    if trace.is_replica:
-        metrics["accept_rate_high"] = acceptance_rate(trace.accepted_high)
-    return metrics, hist
-
-
-def _synthetic_repeat(args):
-    config, seed, truth_samples, rff = args
-    model = _build_model(config)
-    truth = enumerate_target(model)
-    trace = run_sampler(model, _run_config(config, seed))
-    metrics, hist = _sampling_metrics(trace, model, truth, truth_samples, rff)
-    return seed, trace, metrics, hist
+    return _chain_metrics(trace, metrics), hist
 
 
 def _magnetization_truth(model, config):
@@ -207,27 +200,13 @@ def _magnetization_truth(model, config):
     return total / config.reference_steps
 
 
-def _ising_repeat(args):
-    config, seed, mag_truth = args
-    model = _build_model(config)
-    trace = run_sampler(model, _run_config(config, seed))
+def _ising_metrics(model, mag_truth, trace):
     emb = model.domain.value_table[trace.states.astype(np.int64)]
-    mag_estimate = emb.mean(axis=0)
-    metrics = {
-        "log_rmse": log_rmse(mag_estimate, mag_truth),
-        "swap_rate": swap_rate(trace),
-        "accept_rate_low": acceptance_rate(trace.accepted_low),
-    }
-    if trace.is_replica:
-        metrics["accept_rate_high"] = acceptance_rate(trace.accepted_high)
-    return seed, trace, metrics, None
+    return _chain_metrics(trace, {"log_rmse": log_rmse(emb.mean(axis=0), mag_truth)}), None
 
 
-def _rbm_sample_repeat(args):
-    config, seed, rbm_path = args
-    model = load_rbm(rbm_path)
-    trace = run_sampler(model, _run_config(config, seed))
-    rng_ref = substream(seed, SALT_REFERENCE)
+def _rbm_sample_metrics(model, config, trace):
+    rng_ref = substream(trace.seed, SALT_REFERENCE)
     n_keep = trace.states.shape[0]
     ref = np.empty((n_keep, model.domain.dim), dtype=np.int64)
     state = (rng_ref.random(model.domain.dim) < 0.5).astype(np.int64)
@@ -239,15 +218,25 @@ def _rbm_sample_repeat(args):
     chain_embedded = model.domain.value_table[trace.states.astype(np.int64)]
     ref_embedded = model.domain.value_table[ref]
     bw = median_bandwidth(np.vstack([chain_embedded[:500], ref_embedded[:500]]))
-    rff = RffEstimator.create(model.domain.dim, bw, config.mmd_features, substream(seed, SALT_TRUTH))
-    metrics = {
-        "mmd": mmd_rff(ref_embedded, chain_embedded, rff),
-        "swap_rate": swap_rate(trace),
-        "accept_rate_low": acceptance_rate(trace.accepted_low),
-    }
-    if trace.is_replica:
-        metrics["accept_rate_high"] = acceptance_rate(trace.accepted_high)
-    return seed, trace, metrics, None
+    rff = RffEstimator.create(model.domain.dim, bw, config.mmd_features, substream(trace.seed, SALT_TRUTH))
+    return _chain_metrics(trace, {"mmd": mmd_rff(ref_embedded, chain_embedded, rff)}), None
+
+
+def _run_group(job):
+    """Sample one group of repeat seeds as a single batch, then measure each trace."""
+    model, config, seeds, measure = job
+    traces = run_batch(model, [_run_config(config, s) for s in seeds])
+    return [(trace.seed, trace, *measure(trace)) for trace in traces]
+
+
+def _run_repeats(model, config, seeds, measure, threads):
+    """All repeats as one batch, or split into `threads` contiguous groups, one batch per worker process."""
+    if threads <= 1:
+        return _run_group((model, config, seeds, measure))
+    groups = [g.tolist() for g in np.array_split(np.array(seeds), threads) if g.size]
+    with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+        parts = pool.map(_run_group, [(model, config, g, measure) for g in groups])
+        return [result for part in parts for result in part]
 
 
 def _write_meta(out, config, seeds, extra=None):
@@ -260,16 +249,7 @@ def _write_meta(out, config, seeds, extra=None):
             fh.write(line + "\n")
 
 
-def _run_repeats(worker, jobs, threads):
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
-
-
 def _check_referenced_files(config: ExperimentConfig):
-    from .errors import ConfigError
-
     if config.kind == "rbm-sample" and not os.path.isfile(config.weights):
         raise ConfigError(f"weights file not found: {config.weights}")
     if config.kind == "rbm-train" and config.dataset != "synthetic" and not os.path.isfile(config.dataset):
@@ -297,23 +277,22 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
         truth_samples = embed_all(model.domain)[idx]
         bw = median_bandwidth(truth_samples)
         rff = RffEstimator.create(model.domain.dim, bw, config.mmd_features, rng_truth)
-        jobs = [(config, s, truth_samples, rff) for s in seeds]
-        results = _run_repeats(_synthetic_repeat, jobs, threads)
+        # the truth side of every repeat's MMD, computed once
+        measure = partial(_synthetic_metrics, model, truth, rff.mean_features(truth_samples), rff)
         extra = [f"mmd_bandwidth = {bw!r}"]
     elif config.kind == "ising":
         model = _build_model(config)
-        mag_truth = _magnetization_truth(model, config)
+        measure = partial(_ising_metrics, model, _magnetization_truth(model, config))
         truth_src = "enumeration" if model.domain.dim <= 20 else f"gibbs_reference({config.reference_steps} sweeps)"
-        jobs = [(config, s, mag_truth) for s in seeds]
-        results = _run_repeats(_ising_repeat, jobs, threads)
         extra = [f"magnetization_truth = {truth_src}"]
     elif config.kind == "rbm-sample":
-        jobs = [(config, s, config.weights) for s in seeds]
-        results = _run_repeats(_rbm_sample_repeat, jobs, threads)
+        model = load_rbm(config.weights)
+        measure = partial(_rbm_sample_metrics, model, config)
         n_keep = len(range(0, config.iterations, config.thin))  # one reference state per kept chain state
         extra = [f"gibbs_reference = {config.gibbs_burn_in} burn-in + {n_keep} kept steps per repeat"]
     else:
         raise DomainError(f"unknown kind {config.kind!r}")
+    results = _run_repeats(model, config, seeds, measure, threads)
 
     per_repeat = []
     pooled_hist = None
@@ -327,14 +306,12 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
     _write_meta(out, config, seeds, extra)
 
     if config.kind == "synthetic" and config.heatmap:
-        model = _build_model(config)
-        truth = enumerate_target(model)
         emit_heatmap(
             EmpiricalHist(counts=pooled_hist, total=int(pooled_hist.sum())),
             model.domain,
             os.path.join(out, "empirical.pgm"),
         )
-        density_heatmap(truth.p, model.domain, os.path.join(out, "target.pgm"))
+        _write_pgm(truth.p, model.domain, os.path.join(out, "target.pgm"))  # the exact pmf, rendered alike
 
     summary = {}
     for key in per_repeat[0]:

@@ -69,6 +69,13 @@ class RffEstimator:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return np.sqrt(2.0 / self.num_features) * np.cos(xs @ self.frequencies.T + self.offsets)
 
+    def mean_features(self, xs: np.ndarray) -> np.ndarray:
+        """Mean feature vector of a nonempty sample set: its approximate kernel mean embedding."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if xs.shape[0] == 0:
+            raise DomainError("mmd needs nonempty sample sets")
+        return self.features(xs).mean(axis=0)
+
 
 def median_bandwidth(samples: np.ndarray, cap: int = 1000) -> float:
     """Median pairwise distance of an (evenly thinned) subsample; floor at 1e-12."""
@@ -81,15 +88,14 @@ def median_bandwidth(samples: np.ndarray, cap: int = 1000) -> float:
     return max(float(np.median(np.sqrt(upper))), 1e-12)
 
 
-def mmd_rff(samples_x: np.ndarray, samples_y: np.ndarray, est: RffEstimator) -> float:
-    """Squared MMD estimate: ||mean phi(X) - mean phi(Y)||^2."""
-    xs = np.atleast_2d(np.asarray(samples_x, dtype=float))
-    ys = np.atleast_2d(np.asarray(samples_y, dtype=float))
-    if xs.shape[0] == 0 or ys.shape[0] == 0:
-        raise DomainError("mmd needs nonempty sample sets")
-    mu_x = est.features(xs).mean(axis=0)
-    mu_y = est.features(ys).mean(axis=0)
-    diff = mu_x - mu_y
+def mmd_rff(samples_x, samples_y: np.ndarray, est: RffEstimator, mean_x=None) -> float:
+    """Squared MMD estimate: ||mean phi(X) - mean phi(Y)||^2.
+
+    mean_x, when given, is est.mean_features(samples_x), computed once for
+    a sample set compared against many; samples_x is then not read.
+    """
+    mu_y = est.mean_features(samples_y)
+    diff = (est.mean_features(samples_x) if mean_x is None else mean_x) - mu_y
     return float(diff @ diff)
 
 

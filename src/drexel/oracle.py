@@ -115,14 +115,8 @@ def _require_quadratic(model) -> QuadraticEnergy:
     return model
 
 
-def proposal_normalizers(model: EnergyModel, params: ChainParams, capacity: int = KERNEL_CAPACITY) -> np.ndarray:
-    """Per-state proposal normalizer Z_alpha on a log-quadratic energy.
-
-    Z(theta) = sum_x exp[(U(x) - U(theta)) / (2 tau)
-                         - (x - theta)^T (I/alpha + (w/tau) J) (x - theta) / 2],
-    which equals the product of the per-coordinate softmax denominators of
-    the sampler's proposal; tends to 1 as alpha -> 0.
-    """
+def _normalizer_exponents(model: EnergyModel, params: ChainParams, capacity: int) -> np.ndarray:
+    """(n, n) exponents (U(x) - U(theta)) / (2 tau) - (x - theta)^T M (x - theta) / 2, row theta, column x."""
     model = _require_quadratic(model)
     n = model.domain.num_states
     if n > capacity:
@@ -132,7 +126,18 @@ def proposal_normalizers(model: EnergyModel, params: ChainParams, capacity: int 
     M = np.eye(model.domain.dim) / params.alpha + (model.w / params.tau) * model.J
     G = xs @ M @ xs.T
     quad = np.diag(G)[:, None] + np.diag(G)[None, :] - 2 * G  # (x_j - x_i)^T M (x_j - x_i)
-    expo = (u[None, :] - u[:, None]) / (2.0 * params.tau) - 0.5 * quad
+    return (u[None, :] - u[:, None]) / (2.0 * params.tau) - 0.5 * quad
+
+
+def proposal_normalizers(model: EnergyModel, params: ChainParams, capacity: int = KERNEL_CAPACITY) -> np.ndarray:
+    """Per-state proposal normalizer Z_alpha on a log-quadratic energy.
+
+    Z(theta) = sum_x exp[(U(x) - U(theta)) / (2 tau)
+                         - (x - theta)^T (I/alpha + (w/tau) J) (x - theta) / 2],
+    which equals the product of the per-coordinate softmax denominators of
+    the sampler's proposal; tends to 1 as alpha -> 0.
+    """
+    expo = _normalizer_exponents(model, params, capacity)
     m = expo.max(axis=1)
     return np.exp(m) * np.exp(expo - m[:, None]).sum(axis=1)
 
@@ -143,16 +148,7 @@ def log_proposal_normalizers(model: EnergyModel, params: ChainParams, capacity: 
     Resolves tails as small as exp(-700) that a plain exp-sum would swallow
     into the leading 1; used by the small-step-size convergence checks.
     """
-    model = _require_quadratic(model)
-    n = model.domain.num_states
-    if n > capacity:
-        raise CapacityError(f"{n} states exceeds kernel capacity {capacity}")
-    xs = embed_all(model.domain)
-    u = model.value_batch(xs)
-    M = np.eye(model.domain.dim) / params.alpha + (model.w / params.tau) * model.J
-    G = xs @ M @ xs.T
-    quad = np.diag(G)[:, None] + np.diag(G)[None, :] - 2 * G
-    expo = (u[None, :] - u[:, None]) / (2.0 * params.tau) - 0.5 * quad
+    expo = _normalizer_exponents(model, params, capacity)
     np.fill_diagonal(expo, -np.inf)  # the stay term is the leading 1
     with np.errstate(under="ignore"):
         off = np.exp(expo).sum(axis=1)

@@ -13,14 +13,17 @@ normalized by an overflow-safe softmax.  The quadratic penalty is not divided
 by the temperature; a tempered-penalty parameterization is recovered by
 substituting alpha' = alpha * tau.
 
-Every chain carries its retained state together with that state's energy,
-gradient and log-proposal table.  A step draws from the carried table and
-evaluates the energy once, at the proposal: that one `value_and_grad` call
-gives the Metropolis energy, the reverse log-proposal and, on acceptance,
-the next forward table.  All public step functions wrap this one path.
+One kernel steps K chains together over a (K, dim) state array: all the
+repeats of a run, and both chains of each replica pair.  Every chain
+carries its retained state together with that state's energy, gradient
+and log-proposal table.  A step draws from the carried tables and
+evaluates the energy once per chain, at the proposals: that one
+`value_and_grad_batch` call gives the Metropolis energies, the reverse
+log-proposals and, on acceptance, the next forward tables.  The public
+single-chain and replica-pair step functions are K = 1 and K = 2 uses of
+the same kernel.
 """
 
-import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -93,10 +96,10 @@ class StepOutcome:
     proposal_energy: float
 
 
-def _logits(x: np.ndarray, g: np.ndarray, values: np.ndarray, params: ChainParams) -> np.ndarray:
-    """(dim, levels) proposal logits at embedded state x with gradient g over the value set."""
-    diff = values[None, :] - x[:, None]
-    return g[:, None] / (2.0 * params.tau) * diff - diff**2 / (2.0 * params.alpha)
+def _logits(x: np.ndarray, g: np.ndarray, values: np.ndarray, alpha, tau) -> np.ndarray:
+    """(..., dim, levels) proposal logits at embedded states x with gradients g; alpha, tau broadcast per chain."""
+    diff = values - x[..., None]
+    return g[..., None] / (2.0 * tau) * diff - diff**2 / (2.0 * alpha)
 
 
 def proposal_logits(model: EnergyModel, state: np.ndarray, params: ChainParams, coord: int) -> np.ndarray:
@@ -104,115 +107,188 @@ def proposal_logits(model: EnergyModel, state: np.ndarray, params: ChainParams, 
     domain = model.domain
     if not 0 <= coord < domain.dim:
         raise DomainError(f"coordinate {coord} out of range for dim {domain.dim}")
-    x = embed(state, domain)
-    return _logits(x, model.gradient(x), domain.value_table, params)[coord]
+    return _all_logits(model, state, params)[coord]
 
 
 def _all_logits(model, state, params):
     """(dim, levels) logit matrix; row d is proposal_logits for coordinate d."""
-    x = model.domain.value_table[state]
-    return _logits(x, model.gradient(x), model.domain.value_table, params)
+    x = embed(state, model.domain)
+    return _logits(x, model.gradient(x), model.domain.value_table, params.alpha, params.tau)
 
 
 def _log_softmax(logits):
-    m = logits.max(axis=1, keepdims=True)
+    m = logits.max(axis=-1, keepdims=True)
     z = logits - m
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-class _Chain(NamedTuple):
-    """A chain's retained state with its energy, gradient and log-softmax proposal table."""
-
-    state: np.ndarray
-    energy: float
-    grad: np.ndarray
-    logp: np.ndarray
+def _accepts(log_a, u):
+    """Metropolis decisions u < min(1, exp(log_a)); a NaN ratio stays NaN and never accepts."""
+    return u < np.exp(np.minimum(log_a, 0.0))
 
 
-def _table(x: np.ndarray, g: np.ndarray, values: np.ndarray, params: ChainParams, label: str) -> np.ndarray:
-    """Log-softmax proposal table at embedded state x with gradient g.
+def _swap_probs(swap: "SwapConfig", tau1, tau2, u_next1, u_next2, u_prev1, u_prev2):
+    """rho * min(1, S) elementwise over pairs of chains; see swap_probability."""
+    beta = 1.0 / tau2 - 1.0 / tau1
+    if swap.variant == NAIVE:
+        exponent = beta * (u_next1 - u_next2)
+    elif swap.variant == BIAS_CORRECTED:
+        exponent = beta * (u_next1 - u_next2 - beta * swap.sigma2)
+    else:
+        # grouped per chain so exchanging next and previous energies is an
+        # exact float identity, not merely a mathematical one
+        exponent = beta * ((u_next1 + u_prev1) - (u_next2 + u_prev2))
+    # min(1, e^x) == e^min(0, x), and the right side cannot overflow
+    return swap.rho * np.exp(np.minimum(exponent, 0.0))
 
-    Every row holds the zero-distance stay entry, so a non-finite gradient,
-    or a finite one whose g / (2 tau) * diff overflows, turns the table NaN;
-    that raises NumericError naming the chain.  A step size so small that the
-    move penalty is infinite only zeroes the move probabilities.
+
+class _Chains(NamedTuple):
+    """K chains' retained states with their energies, gradients and log-softmax proposal tables."""
+
+    states: np.ndarray  # (K, dim) value indices
+    energy: np.ndarray  # (K,)
+    grad: np.ndarray  # (K, dim)
+    logp: np.ndarray  # (K, dim, levels)
+
+
+class _Kernel:
+    """The one chain kernel: K chains over one model, with per-chain step size, temperature and MH switch.
+
+    With a swap configuration the rows form replica pairs, row 2p the low
+    and row 2p + 1 the high chain of pair p.  Every public step function and
+    both run functions go through this class.  States handed to it must be
+    in range; the public entry points validate them.
     """
-    logp = _log_softmax(_logits(x, g, values, params))
-    if np.isnan(logp).any():
-        bad = int(np.count_nonzero(~np.isfinite(g)))
-        if bad:
-            cause = f"{bad} of {g.size} gradient entries not finite"
-        else:
-            cause = f"gradient overflows the logits at tau = {params.tau}"
-        raise NumericError(f"{label} chain: {cause}")
-    return logp
+
+    def __init__(self, model: EnergyModel, params, swap: Optional["SwapConfig"] = None):
+        self.model = model
+        self.values = model.domain.value_table
+        self.alpha = np.array([p.alpha for p in params], dtype=float)
+        self.tau = np.array([p.tau for p in params], dtype=float)
+        self.mh = np.array([p.mh_enabled for p in params], dtype=bool)
+        self.swap = swap
+        k = len(params)
+        self.cells = (np.arange(k)[:, None], np.arange(model.domain.dim))  # (chain, coordinate) of each table row
+        self.always = np.ones(k, dtype=bool)
+        self.widths = model.domain.dim + self.mh  # uniforms each chain draws per iteration
+        self.draws = np.zeros((k, model.domain.dim + 1))
+        if swap is not None and ((self.tau[0::2] >= self.tau[1::2]) | (self.alpha[0::2] >= self.alpha[1::2])).any():
+            warnings.warn(
+                "replica pair expects tau_low < tau_high and alpha_low < alpha_high; running anyway",
+                stacklevel=3,
+            )
+        self.labels = _LABELS * (k // 2) if swap is not None else ("low",) * k
+
+    def table(self, states: np.ndarray, energy: np.ndarray, grad: np.ndarray, rows=None) -> np.ndarray:
+        """Log-softmax proposal tables of the chains in rows (default all), at states with energies and gradients.
+
+        Raises NumericError naming the first of those chains whose energy
+        or table is not finite, so a bad model can never drive
+        the proposal or the Metropolis test with NaNs.  Every table row
+        holds the zero-distance stay entry, so a non-finite gradient, or a
+        finite one whose g / (2 tau) * diff overflows, turns the table NaN.
+        A step size so small that the move penalty is infinite only zeroes
+        the move probabilities.
+        """
+        alpha, tau = (self.alpha, self.tau) if rows is None else (self.alpha[rows], self.tau[rows])
+        logp = _log_softmax(_logits(self.values[states], grad, self.values, alpha[:, None, None], tau[:, None, None]))
+        if np.isnan(logp).any() or not np.isfinite(energy).all():
+            rows = np.arange(len(self.tau)) if rows is None else rows
+            k = int(np.argmax(np.isnan(logp).any(axis=(1, 2)) | ~np.isfinite(energy)))
+            if not np.isfinite(energy[k]):
+                cause = f"energy not finite (U = {float(energy[k])})"
+            elif np.isfinite(grad[k]).all():
+                cause = f"gradient overflows the logits at tau = {float(tau[k])}"
+            else:
+                cause = f"{int(np.count_nonzero(~np.isfinite(grad[k])))} of {grad[k].size} gradient entries not finite"
+            exc = NumericError(f"{self.labels[rows[k]]} chain: {cause}")
+            exc.row = int(rows[k])  # the batch row at fault; run_batch names its seed
+            raise exc
+        return logp
+
+    def evaluate(self, states: np.ndarray) -> _Chains:
+        """The one energy evaluation per chain: U, grad U and the proposal table at each state."""
+        u, g = self.model.value_and_grad_batch(self.values[states])
+        u = np.asarray(u, dtype=float)
+        g = np.asarray(g, dtype=float)
+        return _Chains(states, u, g, self.table(states, u, g))
+
+    def propose(self, chains: _Chains, u: np.ndarray):
+        """Draw every coordinate of every chain from its carried table with the (K, dim) uniforms u.
+
+        Returns the proposals' chain records with the forward and reverse
+        log-proposals; the reverse one is read off each proposal's own table
+        and is NaN for chains without the Metropolis correction.
+        """
+        cum = np.exp(chains.logp).cumsum(axis=2)
+        cum /= cum[:, :, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
+        prop = (cum < u[:, :, None]).sum(axis=2)
+        forward_logq = chains.logp[(*self.cells, prop)].sum(axis=1)
+        new = self.evaluate(prop)
+        reverse_logq = np.where(self.mh, new.logp[(*self.cells, chains.states)].sum(axis=1), np.nan)
+        return new, forward_logq, reverse_logq
+
+    def draw(self, rngs) -> np.ndarray:
+        """Each chain's uniforms for one iteration, from its own generator, as the rows of one buffer."""
+        for rng, row, width in zip(rngs, self.draws, self.widths):
+            rng.random(out=row[:width])
+        return self.draws
+
+    def step(self, chains: _Chains, draws: np.ndarray):
+        """One proposal and Metropolis decision per chain.
+
+        draws is (K, dim + 1): each chain's dim proposal uniforms, then its
+        Metropolis uniform (read only under the correction).  Returns the
+        retained chains, the proposals, both log-proposals and the accept
+        flags.
+        """
+        dim = chains.states.shape[1]
+        new, forward_logq, reverse_logq = self.propose(chains, draws[:, :dim])
+        if not self.mh.any():
+            return new, new, forward_logq, reverse_logq, self.always
+        log_a = (new.energy - chains.energy) / self.tau + reverse_logq - forward_logq
+        accepted = ~self.mh | _accepts(log_a, draws[:, dim])
+        if accepted.all():
+            return new, new, forward_logq, reverse_logq, accepted
+        kept = _Chains(*(np.where(accepted.reshape((-1,) + (1,) * (a.ndim - 1)), a, b) for a, b in zip(new, chains)))
+        return kept, new, forward_logq, reverse_logq, accepted
+
+    def exchange(self, prev_energy: np.ndarray, chains: _Chains, u: np.ndarray):
+        """Each pair's swap test on its own rows, with one uniform per pair.
+
+        The probability sees the energies of the states actually retained
+        after the Metropolis decisions (U_next) together with those the
+        iteration started from (U_prev).  A swap exchanges states, energies
+        and gradients, and rebuilds each table under the receiving chain's
+        (alpha, tau).  Returns the chains and the (pairs,) swap flags.
+        """
+        e = chains.energy
+        p = _swap_probs(self.swap, self.tau[0::2], self.tau[1::2], e[0::2], e[1::2], prev_energy[0::2], prev_energy[1::2])
+        swapped = u < p
+        if not swapped.any():
+            return chains, swapped
+        rows = np.flatnonzero(np.repeat(swapped, 2))
+        order = np.arange(e.shape[0])
+        order[rows] = rows ^ 1
+        states, energy, grad = chains.states[order], e[order], chains.grad[order]
+        logp = chains.logp.copy()
+        logp[rows] = self.table(states[rows], energy[rows], grad[rows], rows)
+        return _Chains(states, energy, grad, logp), swapped
 
 
-def _evaluate(model: EnergyModel, state: np.ndarray, params: ChainParams, label: str) -> _Chain:
-    """The one energy evaluation of a chain step: U, grad U and the proposal table at state.
-
-    Raises NumericError naming the chain when the energy or the gradient is
-    not finite, so a bad model can never drive the proposal or the
-    Metropolis test with NaNs.
-    """
-    values = model.domain.value_table
-    state = model.domain.validate_state(state)
-    x = values[state]
-    u, g = model.value_and_grad(x)
-    u = float(u)
-    if not math.isfinite(u):
-        raise NumericError(f"{label} chain: energy not finite (U = {u})")
-    g = np.asarray(g, dtype=float)
-    return _Chain(state, u, g, _table(x, g, values, params, label))
+_LABELS = ("low", "high")
 
 
-def _retable(model: EnergyModel, chain: _Chain, params: ChainParams, label: str) -> _Chain:
-    """The same state, energy and gradient with the proposal table of another chain's (alpha, tau)."""
-    values = model.domain.value_table
-    return chain._replace(logp=_table(values[chain.state], chain.grad, values, params, label))
+def _single(model: EnergyModel, state: np.ndarray, params: ChainParams):
+    """A one-chain kernel with its chain evaluated at state."""
+    kernel = _Kernel(model, (params,))
+    return kernel, kernel.evaluate(model.domain.validate_state(state)[None, :])
 
 
-def _dls(model: EnergyModel, chain: _Chain, params: ChainParams, rng: np.random.Generator, label: str):
-    """Draw every coordinate from the carried table, then evaluate the proposal once.
-
-    Returns the proposal's chain record with the forward and reverse
-    log-proposals; the reverse one is read off the proposal's own table and
-    is NaN unless the chain has its Metropolis correction enabled.
-    """
-    cum = np.exp(chain.logp).cumsum(axis=1)
-    cum /= cum[:, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
-    u = rng.random(chain.state.shape[0])
-    prop = (cum < u[:, None]).sum(axis=1).astype(np.int64)
-    rows = np.arange(prop.shape[0])
-    forward_logq = float(chain.logp[rows, prop].sum())
-    new = _evaluate(model, prop, params, label)
-    reverse_logq = float(new.logp[rows, chain.state].sum()) if params.mh_enabled else float("nan")
-    return new, forward_logq, reverse_logq
-
-
-def _metropolis(delta_u: float, tau: float, forward_logq: float, reverse_logq: float, rng) -> bool:
-    """Accept with probability min(1, exp(log ratio)) against pi^(1/tau); one uniform draw."""
-    log_a = delta_u / tau + reverse_logq - forward_logq
-    # min(log_a, 0.0) keeps a NaN ratio NaN, and u < NaN never accepts
-    return bool(rng.random() < np.exp(min(log_a, 0.0)))
-
-
-def _step(model: EnergyModel, chain: _Chain, params: ChainParams, rng: np.random.Generator, label: str):
-    """One chain update on the cached path: returns (retained chain record, outcome)."""
-    new, forward_logq, reverse_logq = _dls(model, chain, params, rng, label)
-    delta_u = new.energy - chain.energy
-    accepted = not params.mh_enabled or _metropolis(delta_u, params.tau, forward_logq, reverse_logq, rng)
-    kept = new if accepted else chain
-    outcome = StepOutcome(
-        state=kept.state,
-        proposal=new.state,
-        forward_logq=forward_logq,
-        reverse_logq=reverse_logq,
-        accepted=accepted,
-        energy=kept.energy,
-        proposal_energy=new.energy,
-    )
-    return kept, outcome
+def _outcome(kept: _Chains, new: _Chains, fwd, rev, accepted) -> StepOutcome:
+    """The StepOutcome of a one-chain kernel step."""
+    k, n = kept.states[0], new.states[0]
+    return StepOutcome(k, n, float(fwd[0]), float(rev[0]), bool(accepted[0]), float(kept.energy[0]), float(new.energy[0]))
 
 
 def dls_step(model: EnergyModel, state: np.ndarray, params: ChainParams, rng: np.random.Generator) -> StepOutcome:
@@ -221,17 +297,9 @@ def dls_step(model: EnergyModel, state: np.ndarray, params: ChainParams, rng: np
     The proposal's single energy evaluation gives its energy and, when the
     chain has its Metropolis correction enabled, the reverse log-proposal.
     """
-    chain = _evaluate(model, state, params, "low")
-    new, forward_logq, reverse_logq = _dls(model, chain, params, rng, "low")
-    return StepOutcome(
-        state=new.state,
-        proposal=new.state,
-        forward_logq=forward_logq,
-        reverse_logq=reverse_logq,
-        accepted=True,
-        energy=new.energy,
-        proposal_energy=new.energy,
-    )
+    kernel, chains = _single(model, state, params)
+    new, forward_logq, reverse_logq = kernel.propose(chains, rng.random(model.domain.dim)[None, :])
+    return _outcome(new, new, forward_logq, reverse_logq, np.ones(1, dtype=bool))
 
 
 def binary_flip_probs(model: EnergyModel, state: np.ndarray, params: ChainParams) -> np.ndarray:
@@ -260,9 +328,8 @@ def mh_accept(
         current_energy = energy_value(model, current)
     if not np.isfinite(outcome.proposal_energy):
         raise NumericError(f"proposal energy not finite: {outcome.proposal_energy}")
-    return _metropolis(
-        outcome.proposal_energy - current_energy, params.tau, outcome.forward_logq, outcome.reverse_logq, rng
-    )
+    log_a = (outcome.proposal_energy - current_energy) / params.tau + outcome.reverse_logq - outcome.forward_logq
+    return bool(_accepts(log_a, rng.random()))
 
 
 def chain_step(
@@ -273,10 +340,10 @@ def chain_step(
     current_energy: Optional[float] = None,
 ) -> StepOutcome:
     """One full chain update: propose, then apply the Metropolis decision if enabled."""
-    chain = _evaluate(model, state, params, "low")
+    kernel, chains = _single(model, state, params)
     if current_energy is not None:
-        chain = chain._replace(energy=current_energy)
-    return _step(model, chain, params, rng, "low")[1]
+        chains = chains._replace(energy=np.array([current_energy], dtype=float))
+    return _outcome(*kernel.step(chains, kernel.draw((rng,))))
 
 
 def swap_probability(
@@ -297,52 +364,33 @@ def swap_probability(
     for u in (u_next1, u_next2, u_prev1, u_prev2):
         if not np.isfinite(u):
             raise NumericError(f"swap probability needs finite energies, got {u}")
-    beta = 1.0 / tau2 - 1.0 / tau1
-    if config.variant == NAIVE:
-        exponent = beta * (u_next1 - u_next2)
-    elif config.variant == BIAS_CORRECTED:
-        exponent = beta * (u_next1 - u_next2 - beta * config.sigma2)
-    else:
-        # grouped per chain so exchanging next and previous energies is an
-        # exact float identity, not merely a mathematical one
-        exponent = beta * ((u_next1 + u_prev1) - (u_next2 + u_prev2))
-    # min(1, e^x) == e^min(0, x), and the right side cannot overflow
-    return config.rho * float(np.exp(min(0.0, exponent)))
+    return float(_swap_probs(config, tau1, tau2, u_next1, u_next2, u_prev1, u_prev2))
 
 
 @dataclass(frozen=True)
 class ReplicaPair:
-    """A low- and a high-temperature chain, each carrying its retained state's energy, gradient and table."""
+    """A low- and a high-temperature chain: rows 0 and 1 of chains, each with its state's energy, gradient and table."""
 
-    chain_low: _Chain
-    chain_high: _Chain
+    chains: _Chains
     params_low: ChainParams
     params_high: ChainParams
     swap: SwapConfig
 
-    def __post_init__(self):
-        if self.params_low.tau >= self.params_high.tau or self.params_low.alpha >= self.params_high.alpha:
-            warnings.warn(
-                "replica pair expects tau_low < tau_high and alpha_low < alpha_high; "
-                "running anyway",
-                stacklevel=3,
-            )
-
     @property
     def low(self) -> np.ndarray:
-        return self.chain_low.state
+        return self.chains.states[0]
 
     @property
     def high(self) -> np.ndarray:
-        return self.chain_high.state
+        return self.chains.states[1]
 
     @property
     def prev_energy_low(self) -> float:
-        return self.chain_low.energy
+        return float(self.chains.energy[0])
 
     @property
     def prev_energy_high(self) -> float:
-        return self.chain_high.energy
+        return float(self.chains.energy[1])
 
 
 @dataclass(frozen=True)
@@ -355,40 +403,9 @@ class IterationStats:
 
 
 def make_replica_pair(low, high, params_low, params_high, swap, model) -> ReplicaPair:
-    return ReplicaPair(
-        chain_low=_evaluate(model, low, params_low, "low"),
-        chain_high=_evaluate(model, high, params_high, "high"),
-        params_low=params_low,
-        params_high=params_high,
-        swap=swap,
-    )
-
-
-_LABELS = ("low", "high")
-
-
-def _iterate(model, chains, params, rngs, swap, rng_swap):
-    """One sampler iteration over a single chain or a low/high pair.
-
-    Each chain takes one cached step.  A pair then tries a swap: its
-    probability sees the energies of the states actually retained after the
-    Metropolis decisions (U_next) together with those the iteration started
-    from (U_prev).  A swap exchanges states, energies and gradients, and
-    rebuilds each proposal table under the receiving chain's (alpha, tau).
-    Returns (chains, accepted flags, swapped).
-    """
-    steps = [_step(model, c, p, r, label) for c, p, r, label in zip(chains, params, rngs, _LABELS)]
-    kept = [chain for chain, _ in steps]
-    accepted = [out.accepted for _, out in steps]
-    if len(kept) == 1:
-        return kept, accepted, False
-    low, high = kept
-    p_swap = swap_probability(
-        swap, params[0].tau, params[1].tau, low.energy, high.energy, chains[0].energy, chains[1].energy
-    )
-    if rng_swap.random() < p_swap:
-        return [_retable(model, high, params[0], "low"), _retable(model, low, params[1], "high")], accepted, True
-    return kept, accepted, False
+    kernel = _Kernel(model, (params_low, params_high), swap)
+    states = np.stack([model.domain.validate_state(low), model.domain.validate_state(high)])
+    return ReplicaPair(kernel.evaluate(states), params_low, params_high, swap)
 
 
 def replica_step(
@@ -405,22 +422,17 @@ def replica_step(
     from the start of the iteration (U_prev); the caches roll forward to the
     post-swap current energies.
     """
-    (low, high), accepted, swapped = _iterate(
-        model,
-        (pair.chain_low, pair.chain_high),
-        (pair.params_low, pair.params_high),
-        (rng_low, rng_high),
-        pair.swap,
-        rng_swap,
-    )
+    kernel = _Kernel(model, (pair.params_low, pair.params_high), pair.swap)
+    kept, _, _, _, accepted = kernel.step(pair.chains, kernel.draw((rng_low, rng_high)))
+    chains, swapped = kernel.exchange(pair.chains.energy, kept, np.array([rng_swap.random()]))
     stats = IterationStats(
-        accepted_low=accepted[0],
-        accepted_high=accepted[1],
-        swapped=swapped,
-        energy_low=low.energy,
-        energy_high=high.energy,
+        accepted_low=bool(accepted[0]),
+        accepted_high=bool(accepted[1]),
+        swapped=bool(swapped[0]),
+        energy_low=float(chains.energy[0]),
+        energy_high=float(chains.energy[1]),
     )
-    return replace(pair, chain_low=low, chain_high=high), stats
+    return replace(pair, chains=chains), stats
 
 
 @dataclass(frozen=True)
@@ -485,7 +497,7 @@ class RunTrace:
     swap_successes: int
     seed: int
     thin: int
-    wall_clock: float
+    wall_clock: float  # seconds of the whole run_batch call that made this trace
     domain: Optional[DomainSpec] = field(repr=False, default=None)
 
     @property
@@ -504,57 +516,76 @@ def _draw_init(domain: DomainSpec, config: RunConfig, rng: np.random.Generator) 
 
 
 def run_sampler(model: EnergyModel, config: RunConfig) -> RunTrace:
-    """Run a configured sampler; fully determined by (seed, config).
+    """Run a configured sampler; fully determined by (seed, config).  The one-config run_batch."""
+    return run_batch(model, [config])[0]
 
-    Single-chain samplers are the rho=0, one-chain degenerate case: they use
-    the same low-chain substream, so a DREXEL run with rho=0 is
-    trajectory-identical on its low chain to the standalone run.  Every
-    iteration evaluates the energy once per chain, at its proposal.  A
-    non-finite energy or gradient raises NumericError naming the seed, the
-    iteration and the chain.
+
+def run_batch(model: EnergyModel, configs) -> list:
+    """Run configs that differ only in seed as one batch; one RunTrace per config, in order.
+
+    All K = len(configs) x chains-per-run chains step together through one
+    kernel over a (K, dim) state array.  Each chain keeps its own low or
+    high substream and each replica pair its own swap substream, drawing
+    dim uniforms (plus 1 under Metropolis) per iteration, so every trace
+    equals the standalone run of its seed.  Single-chain samplers are the
+    rho=0, one-chain degenerate case: they use the same low-chain substream,
+    so a DREXEL run with rho=0 is trajectory-identical on its low chain to
+    the standalone run.  Every iteration evaluates the energy once per
+    chain, at its proposal.  A non-finite energy or gradient raises
+    NumericError naming the seed, the iteration and the chain.
     """
     t0 = time.perf_counter()
-    domain = model.domain
-    replica = config.is_replica
+    configs = list(configs)
+    if not configs:
+        raise DomainError("run_batch needs at least one config")
+    first = configs[0]
+    for cfg in configs[1:]:
+        if replace(cfg, seed=first.seed) != first:
+            raise DomainError(f"run_batch configs may differ only in seed: {cfg} vs {first}")
+    domain, dim = model.domain, model.domain.dim
+    replica = first.is_replica
     n = 2 if replica else 1
-    params = config.chain_params()[:n]
-    rngs = [substream(config.seed, salt) for salt in (SALT_LOW, SALT_HIGH)[:n]]
-    rng_swap = substream(config.seed, SALT_SWAP) if replica else None
-    iters = config.iterations
-    states = np.empty((len(range(0, iters, config.thin)), domain.dim), dtype=np.int16)
-    energies = np.empty((n, iters))
-    accepted = np.empty((n, iters), dtype=bool)
-    swapped = np.zeros(iters, dtype=bool)
-    swap = config.swap_config() if replica else None
+    params = first.chain_params()[:n] * len(configs)
+    seeds = [cfg.seed for cfg in configs]
+    rngs = [substream(seed, salt) for seed in seeds for salt in (SALT_LOW, SALT_HIGH)[:n]]
+    swap_rngs = [substream(seed, SALT_SWAP) for seed in seeds] if replica else []
+    kernel = _Kernel(model, params, first.swap_config() if replica else None)
+    iters, thin = first.iterations, first.thin
+    states = np.empty((len(configs), len(range(0, iters, thin)), dim), dtype=np.int16)
+    energies = np.empty((len(rngs), iters))
+    accepted = np.empty((len(rngs), iters), dtype=bool)
+    swapped = np.zeros((len(configs), iters), dtype=bool)
     i = None
     try:
-        inits = [_draw_init(domain, config, rng) for rng in rngs]
-        if replica:
-            pair = make_replica_pair(inits[0], inits[1], params[0], params[1], swap, model)
-            chains = [pair.chain_low, pair.chain_high]
-        else:
-            chains = [_evaluate(model, inits[0], params[0], "low")]
+        chains = kernel.evaluate(np.stack([_draw_init(domain, first, rng) for rng in rngs]))
         for i in range(iters):
-            chains, accepted[:, i], swapped[i] = _iterate(model, chains, params, rngs, swap, rng_swap)
-            for c, chain in enumerate(chains):
-                energies[c, i] = chain.energy
-            if i % config.thin == 0:
-                states[i // config.thin] = chains[0].state
+            prev_energy = chains.energy
+            chains, _, _, _, accepted[:, i] = kernel.step(chains, kernel.draw(rngs))
+            if replica:
+                u_swap = np.array([rng.random() for rng in swap_rngs])
+                chains, swapped[:, i] = kernel.exchange(prev_energy, chains, u_swap)
+            energies[:, i] = chains.energy
+            if i % thin == 0:
+                states[:, i // thin] = chains.states[::n]
     except NumericError as exc:
         where = "initial states" if i is None else f"iteration {i}"
-        raise NumericError(f"seed {config.seed}, {where}: {exc}") from exc
-    return RunTrace(
-        states=states,
-        energy_low=energies[0],
-        energy_high=energies[1] if replica else None,
-        accepted_low=accepted[0],
-        accepted_high=accepted[1] if replica else None,
-        swapped=swapped if replica else None,
-        iterations=iters,
-        swap_attempts=iters if replica else 0,
-        swap_successes=int(swapped.sum()),
-        seed=config.seed,
-        thin=config.thin,
-        wall_clock=time.perf_counter() - t0,
-        domain=domain,
-    )
+        raise NumericError(f"seed {seeds[exc.row // n]}, {where}: {exc}") from exc
+    wall_clock = time.perf_counter() - t0
+    return [
+        RunTrace(
+            states=states[r],
+            energy_low=energies[r * n],
+            energy_high=energies[r * n + 1] if replica else None,
+            accepted_low=accepted[r * n],
+            accepted_high=accepted[r * n + 1] if replica else None,
+            swapped=swapped[r] if replica else None,
+            iterations=iters,
+            swap_attempts=iters if replica else 0,
+            swap_successes=int(swapped[r].sum()),
+            seed=seed,
+            thin=thin,
+            wall_clock=wall_clock,
+            domain=domain,
+        )
+        for r, seed in enumerate(seeds)
+    ]

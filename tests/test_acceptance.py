@@ -25,6 +25,7 @@ from drexel import (
     make_ising_chain,
     make_ising_lattice,
     make_synthetic,
+    run_batch,
     run_sampler,
 )
 from drexel.config import parse_config
@@ -238,9 +239,8 @@ def test_criterion_7_multimodal_exploration():
         ("dmala", dict(alpha=0.023)),
         ("dream", dict(alpha=0.023, alpha_high=0.053, tau_high=2.0)),
     ):
-        for seed in range(10):
-            cfg = RunConfig(sampler=sampler, iterations=100_000, seed=7 + seed, tau=1.0, **kw)
-            trace = run_sampler(model, cfg)
+        configs = [RunConfig(sampler=sampler, iterations=100_000, seed=7 + seed, tau=1.0, **kw) for seed in range(10)]
+        for trace in run_batch(model, configs):  # the 10 seeds' standalone runs, stepped together
             hist = EmpiricalHist.from_states(trace.states, model.domain)
             kls[sampler].append(kl_divergence(pi, hist))
             jumps[sampler].append(jump_rate(trace, model.domain))
@@ -271,12 +271,14 @@ def test_criterion_8_ising_ordering():
         ("dmala", dict(alpha=0.4)),
         ("dream", dict(alpha=0.4, alpha_high=0.9, tau_high=5.0)),
     ):
-        for seed in range(10):
-            cfg = RunConfig(
+        configs = [
+            RunConfig(
                 sampler=sampler, iterations=iters, seed=7 + seed, tau=1.0,
                 init="bernoulli", init_prob=0.6, **kw,
             )
-            trace = run_sampler(model, cfg)
+            for seed in range(10)
+        ]
+        for trace in run_batch(model, configs):
             emb = model.domain.value_table[trace.states.astype(np.int64)]
             cum = np.cumsum(emb, axis=0) / np.arange(1, iters + 1)[:, None]
             mse = np.mean((cum - mag_truth) ** 2, axis=1)

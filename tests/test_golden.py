@@ -81,7 +81,8 @@ def trace_digest(trace) -> str:
     return h.hexdigest()
 
 
-def golden_run(model_name, sampler, seed=31):
+def golden_config(model_name, sampler, seed=31, thin=1):
+    """(model, RunConfig) of one golden case."""
     build, kwargs = MODELS[model_name]
     model = build()
     kwargs = dict(kwargs)
@@ -91,8 +92,11 @@ def golden_run(model_name, sampler, seed=31):
     if sampler in ("bdrexel", "bdream"):
         kwargs["sigma2"] = 0.5
     init = "bernoulli" if model.domain.levels == 2 else "uniform"
-    cfg = RunConfig(sampler=sampler, iterations=300, seed=seed, tau=1.0, init=init, **kwargs)
-    return run_sampler(model, cfg)
+    return model, RunConfig(sampler=sampler, iterations=300, seed=seed, tau=1.0, init=init, thin=thin, **kwargs)
+
+
+def golden_run(model_name, sampler, seed=31):
+    return run_sampler(*golden_config(model_name, sampler, seed))
 
 
 @pytest.mark.parametrize("model_name,sampler", sorted(GOLDEN))

@@ -1,7 +1,9 @@
 """Proposal construction, Metropolis decisions, swap functions, replica stepping."""
 
+import functools
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from drexel import (
     make_ising_chain,
     make_synthetic,
     proposal_logits,
+    run_batch,
     run_sampler,
     swap_probability,
 )
@@ -25,6 +28,7 @@ from drexel.energies import EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
 from drexel.sampler import StepOutcome, chain_step, make_replica_pair, mh_accept, replica_step
+from test_golden import GOLDEN, golden_config, trace_digest
 
 
 def zero_gradient_model(domain):
@@ -385,75 +389,117 @@ class TestLongRunConvergence:
         assert tv <= budget
 
 
+def binomial_pvalues(counts: np.ndarray, row_n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Exact two-sided binomial p-values, 2 min(P[X <= c], P[X >= c]) capped at 1, per entry.
+
+    Entry (i, j) tests c = counts[i, j] transitions i -> j among row_n[i]
+    visits of i against X ~ Binomial(row_n[i], p[i, j]).  Exact tails stay
+    valid where the expected count is far below 1, which a normal
+    approximation is not: there a single count alone gives z > 4.
+    """
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, int(row_n.max()) + 1)))])
+    out = np.ones(p.shape)
+    for i, j in np.ndindex(p.shape):
+        c, n, q = int(counts[i, j]), int(row_n[i]), float(p[i, j])
+        if not 0.0 < q < 1.0:
+            out[i, j] = float(c == round(q * n))
+            continue
+        k = np.arange(n + 1)
+        pmf = np.exp(log_fact[n] - log_fact[k] - log_fact[n - k] + k * np.log(q) + (n - k) * np.log1p(-q))
+        out[i, j] = min(1.0, 2.0 * min(pmf[: c + 1].sum(), pmf[c:].sum()))
+    return out
+
+
+# family-wise false-alarm rate of the kernel tests: Bonferroni over all 256 entries
+KERNEL_TEST_ALPHA = 1e-3
+
+
+def kernel_test_pvalue(counts: np.ndarray, exact: np.ndarray) -> float:
+    """Bonferroni p-value of "the counts are transitions of the exact kernel"; reject below KERNEL_TEST_ALPHA."""
+    return min(1.0, float(binomial_pvalues(counts, counts.sum(axis=1), exact).min()) * exact.size)
+
+
+KERNEL_RUNS = {
+    # name: (Metropolis, iterations, low start, high start, seeds of the low, high and swap generators)
+    "drexel": (False, 1_000_000, [0, 0], [1, 1], (100, 101, 102)),
+    "dream": (True, 600_000, [0, 1], [1, 0], (200, 201, 202)),
+}
+
+
+def kernel_params(with_mh):
+    return ChainParams(alpha=0.2, tau=1.0, mh_enabled=with_mh), ChainParams(alpha=0.4, tau=2.0, mh_enabled=with_mh)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_run_counts(name):
+    """16 x 16 pair-state transition counts of one fixed-seed replica-pair run on the 2-spin Ising chain."""
+    from drexel.domains import state_index
+
+    with_mh, iters, low, high, seeds = KERNEL_RUNS[name]
+    model = make_ising_chain(2, 0.15, np.zeros(2))
+    swap = SwapConfig(variant="history", rho=1.0)
+    pair = make_replica_pair(np.array(low), np.array(high), *kernel_params(with_mh), swap, model)
+    rngs = [substream(seed, SALT_LOW) for seed in seeds]
+    counts = np.zeros((16, 16))
+    prev = state_index(pair.low, model.domain) * 4 + state_index(pair.high, model.domain)
+    for _ in range(iters):
+        pair, _ = replica_step(pair, model, *rngs)
+        cur = state_index(pair.low, model.domain) * 4 + state_index(pair.high, model.domain)
+        counts[prev, cur] += 1
+        prev = cur
+    return counts
+
+
+def exact_pair_kernel(name, swap):
+    from drexel.oracle import exact_joint_kernel
+
+    with_mh = KERNEL_RUNS[name][0]
+    model = make_ising_chain(2, 0.15, np.zeros(2))
+    return exact_joint_kernel(model, *kernel_params(with_mh), swap, with_mh=with_mh).matrix
+
+
 class TestEmpiricalKernelMatchesOracle:
-    """The running sampler and the enumerated joint kernel must be the same chain."""
+    """The running sampler and the enumerated joint kernel must be the same chain.
+
+    Each test counts pair-state transitions over one long fixed-seed run
+    and compares every one of the 256 entries with the exact kernel by an
+    exact binomial tail, under a Bonferroni bound with family-wise
+    false-alarm rate KERNEL_TEST_ALPHA.
+    """
 
     @pytest.mark.slow
-    def test_drexel_joint_kernel_within_three_standard_errors(self, two_spin_ising):
-        from drexel.domains import state_index
-        from drexel.oracle import exact_joint_kernel
-
-        params_low = ChainParams(alpha=0.2, tau=1.0)
-        params_high = ChainParams(alpha=0.4, tau=2.0)
-        swap = SwapConfig(variant="history", rho=1.0)
-        exact = exact_joint_kernel(two_spin_ising, params_low, params_high, swap).matrix
-
-        iters = 1_000_000
-        pair = make_replica_pair(
-            np.array([0, 0]), np.array([1, 1]), params_low, params_high, swap, two_spin_ising,
-        )
-        rng_low = substream(100, SALT_LOW)
-        rng_high = substream(101, SALT_LOW)
-        rng_swap = substream(102, SALT_LOW)
-        counts = np.zeros((16, 16))
-        prev = state_index(pair.low, two_spin_ising.domain) * 4 + state_index(pair.high, two_spin_ising.domain)
-        for _ in range(iters):
-            pair, _ = replica_step(pair, two_spin_ising, rng_low, rng_high, rng_swap)
-            cur = state_index(pair.low, two_spin_ising.domain) * 4 + state_index(pair.high, two_spin_ising.domain)
-            counts[prev, cur] += 1
-            prev = cur
-        row_n = counts.sum(axis=1)
-        assert row_n.min() > 1000  # every pair state visited
-        emp = counts / row_n[:, None]
-        se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / row_n[:, None])
-        z = np.abs(emp - exact) / se
-        # 256 simultaneous entries: a handful beyond 3 SE is expected even for
-        # a perfect kernel, none should stray past a Bonferroni-level 4 SE
-        assert z.max() <= 4.0
-        assert np.mean(z <= 3.0) >= 0.985
+    def test_drexel_joint_kernel_matches_oracle(self):
+        counts = kernel_run_counts("drexel")
+        assert counts.sum(axis=1).min() > 1000  # every pair state visited
+        exact = exact_pair_kernel("drexel", SwapConfig(variant="history", rho=1.0))
+        assert kernel_test_pvalue(counts, exact) >= KERNEL_TEST_ALPHA
 
     @pytest.mark.slow
-    def test_dream_joint_kernel_with_metropolis(self, two_spin_ising):
+    def test_dream_joint_kernel_with_metropolis(self):
         """Same consistency check for the Metropolis-adjusted replica kernel."""
-        from drexel.domains import state_index
-        from drexel.oracle import exact_joint_kernel
+        counts = kernel_run_counts("dream")
+        assert counts.sum(axis=1).min() > 1000
+        exact = exact_pair_kernel("dream", SwapConfig(variant="history", rho=1.0))
+        assert kernel_test_pvalue(counts, exact) >= KERNEL_TEST_ALPHA
 
-        params_low = ChainParams(alpha=0.2, tau=1.0, mh_enabled=True)
-        params_high = ChainParams(alpha=0.4, tau=2.0, mh_enabled=True)
-        swap = SwapConfig(variant="history", rho=1.0)
-        exact = exact_joint_kernel(two_spin_ising, params_low, params_high, swap, with_mh=True).matrix
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "perturbed",
+        [SwapConfig(variant="naive", rho=1.0), SwapConfig(variant="history", rho=0.9)],
+        ids=["naive-swap", "rho-0.9"],
+    )
+    @pytest.mark.parametrize("name", sorted(KERNEL_RUNS))
+    def test_statistic_rejects_a_perturbed_kernel(self, name, perturbed):
+        """Power: the same counts against a kernel with the naive swap, or with rho = 0.9, are rejected."""
+        assert kernel_test_pvalue(kernel_run_counts(name), exact_pair_kernel(name, perturbed)) < KERNEL_TEST_ALPHA
 
-        iters = 600_000
-        pair = make_replica_pair(
-            np.array([0, 1]), np.array([1, 0]), params_low, params_high, swap, two_spin_ising,
-        )
-        rng_low = substream(200, SALT_LOW)
-        rng_high = substream(201, SALT_LOW)
-        rng_swap = substream(202, SALT_LOW)
-        counts = np.zeros((16, 16))
-        prev = state_index(pair.low, two_spin_ising.domain) * 4 + state_index(pair.high, two_spin_ising.domain)
-        for _ in range(iters):
-            pair, _ = replica_step(pair, two_spin_ising, rng_low, rng_high, rng_swap)
-            cur = state_index(pair.low, two_spin_ising.domain) * 4 + state_index(pair.high, two_spin_ising.domain)
-            counts[prev, cur] += 1
-            prev = cur
-        row_n = counts.sum(axis=1)
-        assert row_n.min() > 1000
-        emp = counts / row_n[:, None]
-        se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / row_n[:, None])
-        z = np.abs(emp - exact) / se
-        assert z.max() <= 4.0
-        assert np.mean(z <= 3.0) >= 0.985
+    def test_exact_tails_of_small_cases(self):
+        """The p-values against hand-computed binomial tails."""
+        p = binomial_pvalues(np.array([[0, 1, 3]]), np.array([4]), np.array([[0.5, 0.01, 0.5]]))
+        assert p[0, 0] == pytest.approx(2 * 0.5**4)  # P[X <= 0] = 1/16
+        assert p[0, 1] == pytest.approx(2 * (1 - 0.99**4))  # P[X >= 1]
+        assert p[0, 2] == pytest.approx(2 * (4 * 0.5**4 + 0.5**4))  # P[X >= 3] = 5/16
+        assert binomial_pvalues(np.array([[1]]), np.array([10]), np.array([[0.0]]))[0, 0] == 0.0
 
 
 class CountingModel(EnergyModel):
@@ -476,6 +522,10 @@ class CountingModel(EnergyModel):
         self.calls["value_and_grad"] += 1
         return self.inner.value_and_grad(x)
 
+    def value_and_grad_batch(self, xs):
+        self.calls["value_and_grad_batch rows"] += len(xs)
+        return self.inner.value_and_grad_batch(xs)
+
 
 def _run_kwargs(sampler):
     kwargs = dict(sampler=sampler, seed=8, alpha=0.1)
@@ -490,14 +540,15 @@ class TestOneEvaluationPerChain:
         [("dula", 1), ("dmala", 1), ("drexel", 2), ("dream", 2), ("bdrexel", 2), ("bdream", 2)],
     )
     def test_energy_evaluations_per_iteration(self, sampler, chains):
-        """Each chain evaluates the energy once per iteration, fused, at its proposal."""
+        """Each chain evaluates the energy once per iteration, fused and batched, at its proposal."""
         per_run = {}
         for iters in (100, 200):
             model = CountingModel(make_synthetic("16gaussian", levels=16))
             run_sampler(model, RunConfig(iterations=iters, **_run_kwargs(sampler)))
             per_run[iters] = model.calls
-        assert per_run[100] == Counter(value_and_grad=chains * 101)  # one per chain at the start
-        assert per_run[200]["value_and_grad"] - per_run[100]["value_and_grad"] == chains * 100
+        rows = "value_and_grad_batch rows"
+        assert per_run[100] == Counter({rows: chains * 101})  # one per chain at the start
+        assert per_run[200][rows] - per_run[100][rows] == chains * 100
 
 
 def _nan_gradient_model(bad):
@@ -556,3 +607,55 @@ class TestNonFiniteFailsLoudly:
         fn = dls_step if step == "dls_step" else chain_step
         with pytest.raises(NumericError):
             fn(model, np.array([3, 4]), ChainParams(alpha=0.1, mh_enabled=True), substream(0, SALT_LOW))
+
+
+class TestRunBatch:
+    """Repeats stepped together through one kernel give each seed's standalone run."""
+
+    @pytest.mark.parametrize("model_name,sampler", sorted(GOLDEN))
+    def test_batch_traces_equal_standalone_runs(self, model_name, sampler):
+        for repeats in (1, 2, 3):
+            pairs = [golden_config(model_name, sampler, seed=60 + 7 * r, thin=3) for r in range(repeats)]
+            model = pairs[0][0]
+            configs = [cfg for _, cfg in pairs]
+            batch = run_batch(model, configs)
+            assert [t.seed for t in batch] == [cfg.seed for cfg in configs]
+            for cfg, trace in zip(configs, batch):
+                assert trace.states.shape == (100, model.domain.dim)
+                assert trace_digest(trace) == trace_digest(run_sampler(model, cfg))
+
+    def test_configs_must_differ_only_in_seed(self, two_spin_ising):
+        cfg = RunConfig(sampler="dmala", iterations=10, seed=1, alpha=0.2)
+        run_batch(two_spin_ising, [cfg, replace(cfg, seed=2)])
+        for other in (replace(cfg, seed=2, alpha=0.3), replace(cfg, seed=2, iterations=11), replace(cfg, thin=2)):
+            with pytest.raises(DomainError, match="differ only in seed"):
+                run_batch(two_spin_ising, [cfg, other])
+        with pytest.raises(DomainError):
+            run_batch(two_spin_ising, [])
+
+    @pytest.mark.parametrize("sampler", ["dmala", "dream"])
+    def test_non_finite_energy_names_that_repeats_seed(self, sampler):
+        """The batch fails where the first of its repeats fails on its own, with the same message."""
+        inner = make_synthetic("16gaussian", levels=16)
+
+        class NanEnergy(EnergyModel):
+            domain = inner.domain
+
+            def value(self, x):
+                return float("nan") if x[0] > 1.5 else inner.value(x)
+
+            def gradient(self, x):
+                return inner.gradient(x)
+
+        model = NanEnergy()
+        configs = [RunConfig(iterations=3000, **dict(_run_kwargs(sampler), seed=s)) for s in (21, 25, 22, 27)]
+        failures = []
+        for cfg in configs:
+            with pytest.raises(NumericError, match=r"iteration (\d+): (low|high) chain: energy not finite") as err:
+                run_sampler(model, cfg)
+            failures.append((int(err.value.args[0].split("iteration ")[1].split(":")[0]), str(err.value)))
+        first = min(failures, key=lambda f: f[0])
+        assert first[1].startswith("seed 22, ")  # the third repeat fails first
+        with pytest.raises(NumericError) as err:
+            run_batch(model, configs)
+        assert str(err.value) == first[1]
