@@ -105,9 +105,13 @@ class QuadraticEnergy(EnergyModel):
         return self.w * np.einsum("ij,ij->i", xs @ self.J, xs) + xs @ self.b
 
     def value_and_grad_batch(self, xs):
-        """One X J for all rows.  Bit for bit the per-row value_and_grad whenever J x is exact in
-        floating point (0/1 couplings with +-1 or 0/1 states: every Ising lattice and chain here);
-        for a general real J the product's summation order, and so the last bits, may differ."""
+        """One X J for all rows.
+
+        Bit for bit the per-row value_and_grad whenever J x is exact in
+        floating point (0/1 couplings with +-1 or 0/1 states, as in every
+        Ising lattice and chain here); for a general real J the product sums
+        in another order, so the last bits may differ.
+        """
         XJ = xs @ self.J
         return self.w * np.vecdot(xs, XJ) + np.vecdot(xs, self.b), 2.0 * self.w * XJ + self.b
 

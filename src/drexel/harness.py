@@ -5,8 +5,8 @@ sampler's kernel (with several threads, one batch per worker process over
 contiguous groups of repeat seeds).  All outputs land inside the
 configured output directory: per-repeat run and metric CSVs, a summary
 CSV with mean and std across repeats, grayscale heatmaps for 2-d tasks,
-and a metadata echo.  Re-running a config
-with the same seed reproduces every numeric field bit-exactly.
+and a metadata echo.  Re-running a config with the same seed reproduces
+every numeric field bit-exactly.
 """
 
 import csv

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .domains import BINARY01, SPIN_PM1, DomainSpec, embed
+from .domains import BINARY01, SPIN_PM1, DomainSpec
 from .energies import EnergyModel, _sigmoid, energy_value
 from .errors import DomainError, NumericError
 from .rng import SALT_HIGH, SALT_LOW, SALT_SWAP, substream
@@ -107,12 +107,12 @@ def proposal_logits(model: EnergyModel, state: np.ndarray, params: ChainParams, 
     domain = model.domain
     if not 0 <= coord < domain.dim:
         raise DomainError(f"coordinate {coord} out of range for dim {domain.dim}")
-    return _all_logits(model, state, params)[coord]
+    return _all_logits(model, domain.validate_state(state), params)[coord]
 
 
 def _all_logits(model, state, params):
     """(dim, levels) logit matrix; row d is proposal_logits for coordinate d."""
-    x = embed(state, model.domain)
+    x = model.domain.value_table[state]
     return _logits(x, model.gradient(x), model.domain.value_table, params.alpha, params.tau)
 
 
@@ -127,7 +127,7 @@ def _accepts(log_a, u):
     return u < np.exp(np.minimum(log_a, 0.0))
 
 
-def _swap_probs(swap: "SwapConfig", tau1, tau2, u_next1, u_next2, u_prev1, u_prev2):
+def _swap_probs(swap: SwapConfig, tau1, tau2, u_next1, u_next2, u_prev1, u_prev2):
     """rho * min(1, S) elementwise over pairs of chains; see swap_probability."""
     beta = 1.0 / tau2 - 1.0 / tau1
     if swap.variant == NAIVE:
@@ -160,7 +160,7 @@ class _Kernel:
     in range; the public entry points validate them.
     """
 
-    def __init__(self, model: EnergyModel, params, swap: Optional["SwapConfig"] = None):
+    def __init__(self, model: EnergyModel, params, swap: Optional[SwapConfig] = None):
         self.model = model
         self.values = model.domain.value_table
         self.alpha = np.array([p.alpha for p in params], dtype=float)
@@ -177,18 +177,18 @@ class _Kernel:
                 "replica pair expects tau_low < tau_high and alpha_low < alpha_high; running anyway",
                 stacklevel=3,
             )
-        self.labels = _LABELS * (k // 2) if swap is not None else ("low",) * k
+        self.labels = ("low", "high") * (k // 2) if swap is not None else ("low",) * k
 
     def table(self, states: np.ndarray, energy: np.ndarray, grad: np.ndarray, rows=None) -> np.ndarray:
         """Log-softmax proposal tables of the chains in rows (default all), at states with energies and gradients.
 
-        Raises NumericError naming the first of those chains whose energy
-        or table is not finite, so a bad model can never drive
-        the proposal or the Metropolis test with NaNs.  Every table row
-        holds the zero-distance stay entry, so a non-finite gradient, or a
-        finite one whose g / (2 tau) * diff overflows, turns the table NaN.
-        A step size so small that the move penalty is infinite only zeroes
-        the move probabilities.
+        Raises NumericError naming the first of those chains whose energy or
+        table is not finite, so a bad model can never drive the proposal or
+        the Metropolis test with NaNs.  Every table row holds the
+        zero-distance stay entry, so a non-finite gradient, or a finite one
+        whose g / (2 tau) * diff overflows, turns the table NaN.  A step size
+        so small that the move penalty is infinite only zeroes the move
+        probabilities.
         """
         alpha, tau = (self.alpha, self.tau) if rows is None else (self.alpha[rows], self.tau[rows])
         logp = _log_softmax(_logits(self.values[states], grad, self.values, alpha[:, None, None], tau[:, None, None]))
@@ -274,9 +274,6 @@ class _Kernel:
         logp = chains.logp.copy()
         logp[rows] = self.table(states[rows], energy[rows], grad[rows], rows)
         return _Chains(states, energy, grad, logp), swapped
-
-
-_LABELS = ("low", "high")
 
 
 def _single(model: EnergyModel, state: np.ndarray, params: ChainParams):

@@ -81,6 +81,7 @@ class TestMmd:
         xs, ys = rng.normal(size=(150, 2)), rng.normal(loc=1.0, size=(120, 2))
         est = self._est()
         assert mmd_rff(xs, ys, est) == mmd_rff(ys, xs, est)
+        assert mmd_rff(None, ys, est, mean_x=est.mean_features(xs)) == mmd_rff(xs, ys, est)  # reused embedding
 
     def test_order_invariance(self):
         rng = np.random.default_rng(3)
