@@ -232,3 +232,30 @@ def test_two_threads_write_the_same_bytes(kind, tmp_path, monkeypatch):
     """Repeats split over two worker processes give the single-process artifacts."""
     out = whole_run(kind, tmp_path, monkeypatch, threads=2)
     assert artifacts_digest(out) == WHOLE_RUN_GOLDEN[kind]
+
+
+ORACLE_CHECK_CONFIG = """
+kind = oracle-check
+spins = {spins}
+coupling = 0.15
+alpha = 0.2
+tau = 1.0
+alpha_high = 0.4
+tau_high = 2.0
+rho = 1.0
+n_max = 50
+seed = 1
+"""
+
+REPORT_GOLDEN = {
+    2: "1380a9b7e219351af4db9f28df69c73e2b6830b8bb42df97e0c2543f6081dfde",
+    4: "ce53c899f9c38243a64551c1703f96875ee83188847cb91ba86d94f9ce75b793",
+}
+
+
+@pytest.mark.parametrize("spins", sorted(REPORT_GOLDEN))
+def test_oracle_report_hash(spins, tmp_path):
+    """The oracle-check report of the bundled 2-spin config and of a 4-spin chain (256 pair states)."""
+    run_experiment(parse_config(ORACLE_CHECK_CONFIG.format(spins=spins)), out=str(tmp_path))
+    report = (tmp_path / "report.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == REPORT_GOLDEN[spins]
