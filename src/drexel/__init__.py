@@ -5,7 +5,6 @@ from .energies import (
     QuadraticEnergy,
     RbmFreeEnergy,
     Synthetic2D,
-    energy_gradient,
     energy_value,
     make_ising_chain,
     make_ising_lattice,
@@ -40,7 +39,6 @@ __all__ = [
     "binary_flip_probs",
     "dls_step",
     "embed",
-    "energy_gradient",
     "energy_value",
     "make_ising_chain",
     "make_ising_lattice",

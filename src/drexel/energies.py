@@ -6,6 +6,7 @@ each one against central finite differences.
 """
 
 import struct
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,29 +25,27 @@ FLOWER = "flower"
 SYNTHETIC_NAMES = (WAVE, EIGHT_GAUSSIAN, SIXTEEN_GAUSSIAN, MOON, TWO_MOONS, TWIST, FLOWER)
 
 
-class EnergyModel:
-    """Interface: U and grad U on the embedded real coordinates."""
+class EnergyModel(ABC):
+    """Interface: U and grad U on the embedded real coordinates, over a batch of rows.
+
+    A model defines value_and_grad_batch; everything else derives from it.
+    """
 
     domain: DomainSpec
 
-    def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    @abstractmethod
+    def value_and_grad_batch(self, xs: np.ndarray):
+        """(U[K], grad U[K, dim]) over the K rows of xs."""
 
     def value_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized U over rows of xs; default falls back to a loop."""
-        return np.array([self.value(x) for x in xs])
+        """U over the rows of xs."""
+        return self.value_and_grad_batch(xs)[0]
 
-    def value_and_grad(self, x: np.ndarray):
-        """(U, grad U) at x; models whose value and gradient share work override this."""
-        return self.value(x), self.gradient(x)
+    def value(self, x: np.ndarray) -> float:
+        return float(self.value_batch(np.asarray(x, dtype=float)[None, :])[0])
 
-    def value_and_grad_batch(self, xs: np.ndarray):
-        """(U[K], grad U[K, dim]) over the K rows of xs; default falls back to a loop over value_and_grad."""
-        pairs = [self.value_and_grad(x) for x in xs]
-        return np.array([u for u, _ in pairs], dtype=float), np.array([g for _, g in pairs], dtype=float)
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_grad_batch(np.asarray(x, dtype=float)[None, :])[1][0]
 
 
 def energy_value(model: EnergyModel, state: np.ndarray) -> float:
@@ -55,14 +54,6 @@ def energy_value(model: EnergyModel, state: np.ndarray) -> float:
     if not np.isfinite(u):
         raise NumericError(f"energy is not finite at state {np.asarray(state)}: {u}")
     return u
-
-
-def energy_gradient(model: EnergyModel, state: np.ndarray) -> np.ndarray:
-    """grad U at the embedded state; raises NumericError on non-finite entries."""
-    g = np.asarray(model.gradient(embed(state, model.domain)), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise NumericError(f"gradient is not finite at state {np.asarray(state)}: {g}")
-    return g
 
 
 @dataclass(frozen=True)
@@ -90,19 +81,6 @@ class QuadraticEnergy(EnergyModel):
         b.setflags(write=False)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", b)
-
-    def value(self, x):
-        return self.w * float(x @ (self.J @ x)) + float(self.b @ x)
-
-    def gradient(self, x):
-        return 2.0 * self.w * (self.J @ x) + self.b
-
-    def value_and_grad(self, x):
-        Jx = self.J @ x
-        return self.w * float(x @ Jx) + float(self.b @ x), 2.0 * self.w * Jx + self.b
-
-    def value_batch(self, xs):
-        return self.w * np.einsum("ij,ij->i", xs @ self.J, xs) + xs @ self.b
 
     def value_and_grad_batch(self, xs):
         """One X J for all rows.
@@ -146,19 +124,14 @@ class RbmFreeEnergy(EnergyModel):
     def hidden(self) -> int:
         return self.W.shape[0]
 
-    def value(self, x):
-        z = self.W @ x + self.c
-        return float(np.sum(np.logaddexp(0.0, z))) + float(self.b @ x)
-
-    def gradient(self, x):
-        z = self.W @ x + self.c
-        return self.W.T @ _sigmoid(z) + self.b
-
-    def value_and_grad(self, x):
-        z = self.W @ x + self.c
-        return float(np.sum(np.logaddexp(0.0, z))) + float(self.b @ x), self.W.T @ _sigmoid(z) + self.b
+    def value_and_grad_batch(self, xs):
+        """Stacked matrix-vector products, one per row, so each row's bits do not depend on the batch size."""
+        z = np.matmul(self.W, xs[:, :, None])[:, :, 0] + self.c
+        u = np.logaddexp(0.0, z).sum(axis=1) + np.vecdot(xs, self.b)
+        return u, np.matmul(self.W.T, _sigmoid(z)[:, :, None])[:, :, 0] + self.b
 
     def value_batch(self, xs):
+        """One matrix product for all rows (CD training's cost); rows agree with value_and_grad_batch to rounding."""
         z = xs @ self.W.T + self.c
         return np.logaddexp(0.0, z).sum(axis=1) + xs @ self.b
 
@@ -267,19 +240,6 @@ class Synthetic2D(EnergyModel):
             u[origin] = 1.0  # sin(0) + cos(0), angle-0 limit
             g[0][origin], g[1][origin] = 1.0, 0.0  # limit along the angle-0 ray
         return u, np.stack(g, axis=1)
-
-    def value_and_grad(self, p):
-        u, g = self.value_and_grad_batch(np.asarray(p, dtype=float)[None, :])
-        return float(u[0]), g[0]
-
-    def value(self, p):
-        return self.value_and_grad(p)[0]
-
-    def gradient(self, p):
-        return self.value_and_grad(p)[1]
-
-    def value_batch(self, xs):
-        return self.value_and_grad_batch(np.asarray(xs, dtype=float))[0]
 
 
 def make_synthetic(which: str, levels: int = 256, c: float = 2.0) -> Synthetic2D:

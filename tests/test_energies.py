@@ -5,17 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drexel import energy_gradient, energy_value, make_ising_chain, make_ising_lattice, make_synthetic
-from drexel.domains import DomainSpec
+from drexel import (
+    ChainParams,
+    RunConfig,
+    energy_value,
+    make_ising_chain,
+    make_ising_lattice,
+    make_synthetic,
+    run_sampler,
+)
+from drexel.domains import DomainSpec, embed
 from drexel.energies import (
     SYNTHETIC_NAMES,
+    EnergyModel,
     QuadraticEnergy,
     RbmFreeEnergy,
     Synthetic2D,
 )
 from drexel.errors import DomainError
+from drexel.oracle import enumerate_target, exact_single_kernel
 
 from conftest import gradient_matches_fd
+from test_golden import trace_digest
 
 
 class TestQuadratic:
@@ -23,7 +34,7 @@ class TestQuadratic:
         assert energy_value(two_spin_ising, np.array([1, 1])) == pytest.approx(0.3, abs=1e-15)
 
     def test_two_spin_gradient(self, two_spin_ising):
-        g = energy_gradient(two_spin_ising, np.array([1, 1]))
+        g = two_spin_ising.gradient(embed(np.array([1, 1]), two_spin_ising.domain))
         assert np.allclose(g, [0.3, 0.3], atol=1e-15)
 
     def test_asymmetric_matrix_rejected(self):
@@ -59,7 +70,7 @@ class TestRbm:
         dom = DomainSpec.binary01(3)
         b = np.array([0.5, -1.0, 2.0])
         model = RbmFreeEnergy(domain=dom, W=np.zeros((2, 3)), c=np.zeros(2), b=b)
-        assert np.allclose(energy_gradient(model, np.array([0, 1, 0])), b)
+        assert np.allclose(model.gradient(embed(np.array([0, 1, 0]), model.domain)), b)
 
     def test_softplus_overflow_safe(self):
         dom = DomainSpec.binary01(2)
@@ -177,10 +188,70 @@ def _value_and_grad_models():
 
 @pytest.mark.parametrize("model", list(_value_and_grad_models()), ids=lambda m: type(m).__name__)
 def test_value_and_grad_is_value_and_gradient_bit_for_bit(model):
-    """The fused evaluation shares work but must not change a single bit."""
+    """value, gradient and value_batch derive from the one definition and must not change a single bit.
+
+    The exception is RBM value_batch, one matrix product over all rows: bit
+    for bit on one row, equal to rounding on several.
+    """
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = model.domain.value_table[rng.integers(0, model.domain.levels, size=model.domain.dim)]
-        u, g = model.value_and_grad(x)
-        assert u == model.value(x)
-        assert np.array_equal(g, model.gradient(x))
+    xs = model.domain.value_table[rng.integers(0, model.domain.levels, size=(20, model.domain.dim))]
+    for x in xs:
+        u, g = model.value_and_grad_batch(x[None, :])
+        assert model.value(x) == u[0]
+        assert np.array_equal(model.gradient(x), g[0])
+        assert np.array_equal(model.value_batch(x[None, :]), u)
+    u = model.value_and_grad_batch(xs)[0]
+    if isinstance(model, RbmFreeEnergy):
+        assert np.allclose(model.value_batch(xs), u, rtol=1e-12, atol=0.0)
+    else:
+        assert np.array_equal(model.value_batch(xs), u)
+
+
+def _row_invariant_models():
+    rng = np.random.default_rng(19)
+    yield make_ising_lattice(3, 0.15, np.full(9, 0.1), True)  # 0/1 couplings: J x is exact
+    for m, d in ((4, 6), (40, 64)):
+        yield RbmFreeEnergy(
+            domain=DomainSpec.binary01(d), W=rng.normal(size=(m, d)), c=rng.normal(size=m), b=rng.normal(size=d)
+        )
+    for name in SYNTHETIC_NAMES:
+        yield make_synthetic(name, levels=9)
+
+
+@pytest.mark.parametrize("model", list(_row_invariant_models()), ids=lambda m: type(m).__name__)
+def test_batch_rows_do_not_depend_on_the_batch(model):
+    """Each row of a K-row value_and_grad_batch is its one-row batch, bit for bit."""
+    rng = np.random.default_rng(4)
+    xs = model.domain.value_table[rng.integers(0, model.domain.levels, size=(20, model.domain.dim))]
+    for k in (2, 3, 7, 20):
+        u, g = model.value_and_grad_batch(xs[:k])
+        for r in range(k):
+            u1, g1 = model.value_and_grad_batch(xs[r : r + 1])
+            assert u[r] == u1[0]
+            assert np.array_equal(g[r], g1[0])
+
+
+class FieldOnly(EnergyModel):
+    """U(x) = h . x on three spins, defining nothing but value_and_grad_batch."""
+
+    domain = DomainSpec.spin_pm1(3)
+    h = np.array([0.3, -0.2, 0.5])
+
+    def value_and_grad_batch(self, xs):
+        return np.vecdot(xs, self.h), np.zeros_like(xs) + self.h
+
+
+def test_a_model_needs_only_value_and_grad_batch():
+    """Sampler and oracles run on the one method; results equal the same energy as a QuadraticEnergy."""
+    with pytest.raises(TypeError):
+        EnergyModel()
+    model = FieldOnly()
+    same = QuadraticEnergy(domain=model.domain, J=np.zeros((3, 3)), b=model.h)
+    for sampler in ("dmala", "dream"):
+        kwargs = dict(alpha_high=0.6, tau_high=2.0) if sampler == "dream" else {}
+        cfg = RunConfig(sampler=sampler, iterations=200, seed=5, alpha=0.3, **kwargs)
+        assert trace_digest(run_sampler(model, cfg)) == trace_digest(run_sampler(same, cfg))
+    assert np.array_equal(enumerate_target(model).p, enumerate_target(same).p)
+    params = ChainParams(alpha=0.3, mh_enabled=True)
+    K = exact_single_kernel(model, params, with_mh=True).matrix
+    assert np.array_equal(K, exact_single_kernel(same, params, with_mh=True).matrix)

@@ -339,11 +339,8 @@ class TestCli:
                 self.inner = inner
                 self.domain = inner.domain
 
-            def value(self, x):
-                return self.inner.value(x)
-
-            def gradient(self, x):
-                return np.full(self.domain.dim, np.nan)
+            def value_and_grad_batch(self, xs):
+                return self.inner.value_and_grad_batch(xs)[0], np.full(xs.shape, np.nan)
 
         real_build = harness._build_model
         monkeypatch.setattr(harness, "_build_model", lambda config: NanGradient(real_build(config)))

@@ -510,18 +510,6 @@ class CountingModel(EnergyModel):
         self.domain = inner.domain
         self.calls = Counter()
 
-    def value(self, x):
-        self.calls["value"] += 1
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        self.calls["gradient"] += 1
-        return self.inner.gradient(x)
-
-    def value_and_grad(self, x):
-        self.calls["value_and_grad"] += 1
-        return self.inner.value_and_grad(x)
-
     def value_and_grad_batch(self, xs):
         self.calls["value_and_grad_batch rows"] += len(xs)
         return self.inner.value_and_grad_batch(xs)
@@ -558,12 +546,9 @@ def _nan_gradient_model(bad):
     class NanGradient(EnergyModel):
         domain = inner.domain
 
-        def value(self, x):
-            return inner.value(x)
-
-        def gradient(self, x):
-            g = inner.gradient(x)
-            return np.full_like(g, np.nan) if bad(x) else g
+        def value_and_grad_batch(self, xs):
+            u, g = inner.value_and_grad_batch(xs)
+            return u, np.where(np.array([bool(bad(x)) for x in xs])[:, None], np.nan, g)
 
     return NanGradient()
 
@@ -641,11 +626,9 @@ class TestRunBatch:
         class NanEnergy(EnergyModel):
             domain = inner.domain
 
-            def value(self, x):
-                return float("nan") if x[0] > 1.5 else inner.value(x)
-
-            def gradient(self, x):
-                return inner.gradient(x)
+            def value_and_grad_batch(self, xs):
+                u, g = inner.value_and_grad_batch(xs)
+                return np.where(xs[:, 0] > 1.5, np.nan, u), g
 
         model = NanEnergy()
         configs = [RunConfig(iterations=3000, **dict(_run_kwargs(sampler), seed=s)) for s in (21, 25, 22, 27)]
