@@ -196,7 +196,7 @@ mmd_features = 40
 
 WHOLE_RUN_GOLDEN = {
     "synthetic": "c60d56c9aa234e74e001c2e33771f9c73c3cd59e323384057be6b8b7f407a466",
-    "ising": "1f0ee3d86002cfb475f229e3483d27df48abff4d922ab157ca361cefc4fccdbc",
+    "ising": "18abe81285eb112836f848b1dd99ba50227f322f380ce81dcaafe5972870a5e1",
     "rbm-sample": "4f1d39b8048f4bd01cad69752e9e13915a3bfac7e0be7cfd76cf91ddd6ebc5f3",
 }
 
