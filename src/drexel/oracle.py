@@ -3,9 +3,9 @@
 Everything here is exact up to floating point: target pmfs, single-chain and
 joint replica transition kernels, reversibility residuals, and the spectral
 total-variation bound for reversible kernels.  Kernels are built from the
-same proposal code the samplers use (for quadratic energies the Taylor-form
-proposal weights equal the exact-energy-difference form, so no parallel
-formula exists to drift out of sync).
+same proposal and swap code the samplers use (for quadratic energies the
+Taylor-form proposal weights equal the exact-energy-difference form, so no
+parallel formula exists to drift out of sync).
 
 One caution that the test suite leans on: the replica kernel with the
 history swap is *not* exactly reversible with respect to the Z-weighted
@@ -23,7 +23,7 @@ import numpy as np
 from .domains import BINARY01, DomainSpec, all_states, embed_all
 from .energies import EnergyModel, QuadraticEnergy, _sigmoid
 from .errors import CapacityError, DomainError, PreconditionError, UnsupportedModelError
-from .sampler import ChainParams, SwapConfig, _all_logits, _log_softmax, swap_probability
+from .sampler import ChainParams, SwapConfig, _all_logits, _log_softmax, _swap_probs
 
 KERNEL_CAPACITY = 4096
 SPECTRAL_CAPACITY = 256
@@ -219,22 +219,10 @@ def _joint_from_branches(q1, q2, s_noswap, s_swap):
 
 
 def _swap_prob_grid(swap: SwapConfig, t1: float, t2: float, u: np.ndarray) -> np.ndarray:
-    """swap_probability over every (x1, x2, w1, w2) combination, vectorized.
-
-    Must agree entrywise with swap_probability; the test suite cross-checks.
-    """
-    beta = 1.0 / t2 - 1.0 / t1
+    """The sampler's swap probability over every (x1, x2, w1, w2) combination of previous and next states."""
     n = u.shape[0]
-    if swap.variant == "naive":
-        expo = beta * (u[:, None] - u[None, :])  # [w1, w2]
-        expo = np.broadcast_to(expo[None, None, :, :], (n, n, n, n))
-    elif swap.variant == "bias_corrected":
-        expo = beta * (u[:, None] - u[None, :] - beta * swap.sigma2)
-        expo = np.broadcast_to(expo[None, None, :, :], (n, n, n, n))
-    else:
-        pair = u[:, None] + u[None, :]  # [x, w] -> U(x) + U(w)
-        expo = beta * (pair[:, None, :, None] - pair[None, :, None, :])
-    return swap.rho * np.exp(np.minimum(0.0, expo))
+    x1, x2, w1, w2 = u[:, None, None, None], u[None, :, None, None], u[None, None, :, None], u[None, None, None, :]
+    return np.broadcast_to(_swap_probs(swap, t1, t2, w1, w2, x1, x2), (n, n, n, n))
 
 
 def exact_joint_kernel(
@@ -319,44 +307,6 @@ def detailed_balance_check(kernel: Kernel, pmf: Pmf) -> float:
     return float(np.abs(flow - flow.T).max())
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Stops when the off-diagonal Frobenius norm drops below `tol`.  Returns
-    eigenvalues in descending order and the matching orthonormal columns.
-    """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if not np.allclose(A, A.T, atol=1e-9):
-        raise PreconditionError("jacobi_eigh needs a symmetric matrix")
-    V = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(A**2) - np.sum(np.diag(A) ** 2), 0.0))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < tol / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    w = np.diag(A).copy()
-    order = np.argsort(w)[::-1]
-    return w[order], V[:, order]
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Outcome of the spectral total-variation bound check."""
@@ -394,7 +344,8 @@ def spectral_tv_bound_check(kernel: Kernel, pmf: Pmf, n_max: int, slack: float =
     root = np.sqrt(pmf.p)
     sym = (root[:, None] / root[None, :]) * K
     sym = 0.5 * (sym + sym.T)  # symmetric up to the reversibility residual
-    w, V = jacobi_eigh(sym)
+    w, V = np.linalg.eigh(sym)
+    w, V = w[::-1], V[:, ::-1]  # descending
     recon = float(np.linalg.norm(V @ np.diag(w) @ V.T - sym))
     lambda0_error = abs(w[0] - 1.0)
     lambda_star = max(w[1], abs(w[-1])) if n > 1 else 0.0

@@ -248,8 +248,8 @@ seed = 1
 """
 
 REPORT_GOLDEN = {
-    2: "1380a9b7e219351af4db9f28df69c73e2b6830b8bb42df97e0c2543f6081dfde",
-    4: "ce53c899f9c38243a64551c1703f96875ee83188847cb91ba86d94f9ce75b793",
+    2: "b78c51cd14e48ceb77f45a728c13f9cc8703c51139e597e97e0261db27c5656d",
+    4: "e08b56ae67f1bda7e0bc7ab5af33826ebe7cddd27703180685b8745daefd22ba",
 }
 
 

@@ -26,7 +26,6 @@ from drexel.oracle import (
     exact_joint_kernel,
     exact_single_kernel,
     intermediate_pair_pmf,
-    jacobi_eigh,
     proposal_normalizers,
     spectral_tv_bound_check,
     tempered_pair_pmf,
@@ -297,18 +296,6 @@ class TestSpectral:
         K = exact_joint_kernel(two_spin_ising, low, high, SwapConfig(variant="history", rho=1.0))
         with pytest.raises(PreconditionError):
             spectral_tv_bound_check(K, pt, n_max=10)
-
-    def test_jacobi_matches_lapack(self):
-        rng = np.random.default_rng(8)
-        for n in (3, 8, 20):
-            A = rng.normal(size=(n, n))
-            A = 0.5 * (A + A.T)
-            w, V = jacobi_eigh(A)
-            expected = np.sort(np.linalg.eigvalsh(A))[::-1]
-            assert np.abs(w - expected).max() <= 1e-10
-            assert np.abs(V @ np.diag(w) @ V.T - A).max() <= 1e-9
-            assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-10
-
 
 class TestBlockGibbs:
     def test_zero_weights_uniform(self):
