@@ -8,6 +8,8 @@ from .domains import DomainSpec
 from .errors import DomainError
 from .oracle import Pmf
 
+MEAN_BLOCK_ROWS = 1024  # rows of features held at once by RffEstimator.mean_features
+
 
 @dataclass(frozen=True)
 class EmpiricalHist:
@@ -70,11 +72,22 @@ class RffEstimator:
         return np.sqrt(2.0 / self.num_features) * np.cos(xs @ self.frequencies.T + self.offsets)
 
     def mean_features(self, xs: np.ndarray) -> np.ndarray:
-        """Mean feature vector of a nonempty sample set: its approximate kernel mean embedding."""
+        """Mean feature vector of a nonempty sample set: its approximate kernel mean embedding.
+
+        Features are built MEAN_BLOCK_ROWS rows at a time, so memory does not
+        grow with the sample set.  The running sum enters each block's sum as
+        its first row, which adds the rows in the order features(xs).mean(axis=0)
+        does; the two agree bit for bit wherever BLAS rounds each row of the
+        projection the same in a block as in the whole set.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.shape[0] == 0:
             raise DomainError("mmd needs nonempty sample sets")
-        return self.features(xs).mean(axis=0)
+        total = np.add.reduce(self.features(xs[:MEAN_BLOCK_ROWS]), axis=0)
+        for start in range(MEAN_BLOCK_ROWS, xs.shape[0], MEAN_BLOCK_ROWS):
+            block = self.features(xs[start : start + MEAN_BLOCK_ROWS])
+            total = np.add.reduce(np.concatenate([total[None, :], block]), axis=0)
+        return total / xs.shape[0]
 
 
 def median_bandwidth(samples: np.ndarray, cap: int = 1000) -> float:

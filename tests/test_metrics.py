@@ -9,6 +9,7 @@ from drexel import RunConfig, make_synthetic, run_sampler
 from drexel.domains import DomainSpec, embed_all
 from drexel.errors import DomainError
 from drexel.metrics import (
+    MEAN_BLOCK_ROWS,
     EmpiricalHist,
     RffEstimator,
     jump_rate,
@@ -82,6 +83,25 @@ class TestMmd:
         est = self._est()
         assert mmd_rff(xs, ys, est) == mmd_rff(ys, xs, est)
         assert mmd_rff(None, ys, est, mean_x=est.mean_features(xs)) == mmd_rff(xs, ys, est)  # reused embedding
+
+    def test_blocked_mean_sums_every_row_in_the_one_shot_order(self):
+        """mean_features holds MEAN_BLOCK_ROWS rows of features at a time, yet adds the rows as one mean does.
+
+        With 1-d samples each projection is a single product, so the features
+        do not depend on how rows are grouped and the means agree bit for bit.
+        With more dimensions BLAS may round a projection row differently with
+        the number of rows in the product, so there they agree to rounding.
+        """
+        rng = np.random.default_rng(9)
+        n = 2 * MEAN_BLOCK_ROWS + 7
+        for dim in (1, 3):
+            est = self._est(dim=dim, seed=10)
+            xs = rng.normal(size=(n, dim))
+            one_shot = est.features(xs).mean(axis=0)
+            if dim == 1:
+                assert np.array_equal(est.mean_features(xs), one_shot)
+            else:
+                assert np.allclose(est.mean_features(xs), one_shot, rtol=1e-12, atol=1e-15)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(3)
