@@ -7,11 +7,11 @@ each one against central finite differences.
 
 import struct
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BINARY01, ORDINAL, DomainSpec, embed
+from .domains import ORDINAL, DomainSpec, embed
 from .errors import DomainError, NumericError
 
 WAVE = "wave"
@@ -85,10 +85,10 @@ class QuadraticEnergy(EnergyModel):
     def value_and_grad_batch(self, xs):
         """One X J for all rows.
 
-        Bit for bit the per-row value_and_grad whenever J x is exact in
+        A row's bits do not depend on the batch whenever J x is exact in
         floating point (0/1 couplings with +-1 or 0/1 states, as in every
-        Ising lattice and chain here); for a general real J the product sums
-        in another order, so the last bits may differ.
+        Ising lattice and chain here); for a general real J, BLAS may sum a
+        row in another order as the number of rows changes.
         """
         XJ = xs @ self.J
         return self.w * np.vecdot(xs, XJ) + np.vecdot(xs, self.b), 2.0 * self.w * XJ + self.b
