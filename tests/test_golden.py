@@ -259,3 +259,13 @@ def test_oracle_report_hash(spins, tmp_path):
     run_experiment(parse_config(ORACLE_CHECK_CONFIG.format(spins=spins)), out=str(tmp_path))
     report = (tmp_path / "report.txt").read_bytes()
     assert hashlib.sha256(report).hexdigest() == REPORT_GOLDEN[spins]
+
+
+MH_REPORT_GOLDEN = "4580b60e4e2b36c545b5ad7e066543a84fd0f9133bddfcce400e863dbca9ede9"
+
+
+def test_oracle_report_hash_with_metropolis(tmp_path):
+    """The 2-spin report with with_mh = true, which adds the single-chain and adjusted replica rows."""
+    run_experiment(parse_config(ORACLE_CHECK_CONFIG.format(spins=2) + "with_mh = true\n"), out=str(tmp_path))
+    report = (tmp_path / "report.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == MH_REPORT_GOLDEN

@@ -1,6 +1,7 @@
 """Proposal construction, Metropolis decisions, swap functions, replica stepping."""
 
 import functools
+import hashlib
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -450,6 +451,13 @@ def kernel_run_counts(name):
     return counts
 
 
+# sha256 of each run's count matrix: the draws, their order and every accept and swap decision
+KERNEL_COUNTS_GOLDEN = {
+    "drexel": "cde6e2decb0f0ff4c03bcaca1dd0e5d5358fef64d495f5aa09b64d3805769854",
+    "dream": "4dadaffb462bdafd59f02cf8ff4862c50902cd218d34460e4c69dab0f70702af",
+}
+
+
 def exact_pair_kernel(name, swap):
     from drexel.oracle import exact_joint_kernel
 
@@ -492,6 +500,13 @@ class TestEmpiricalKernelMatchesOracle:
     def test_statistic_rejects_a_perturbed_kernel(self, name, perturbed):
         """Power: the same counts against a kernel with the naive swap, or with rho = 0.9, are rejected."""
         assert kernel_test_pvalue(kernel_run_counts(name), exact_pair_kernel(name, perturbed)) < KERNEL_TEST_ALPHA
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(KERNEL_RUNS))
+    def test_counts_hash(self, name):
+        """The counting run itself is pinned, so a change to how the pair is stepped cannot pass unseen."""
+        counts = kernel_run_counts(name)
+        assert hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest() == KERNEL_COUNTS_GOLDEN[name]
 
     def test_exact_tails_of_small_cases(self):
         """The p-values against hand-computed binomial tails."""
