@@ -5,7 +5,6 @@ from .energies import (
     QuadraticEnergy,
     RbmFreeEnergy,
     Synthetic2D,
-    energy_value,
     make_ising_chain,
     make_ising_lattice,
     make_synthetic,
@@ -16,10 +15,7 @@ from .sampler import (
     RunTrace,
     SwapConfig,
     binary_flip_probs,
-    dls_step,
-    mh_accept,
     proposal_logits,
-    replica_step,
     run_batch,
     run_sampler,
     swap_probability,
@@ -37,15 +33,11 @@ __all__ = [
     "SwapConfig",
     "Synthetic2D",
     "binary_flip_probs",
-    "dls_step",
     "embed",
-    "energy_value",
     "make_ising_chain",
     "make_ising_lattice",
     "make_synthetic",
-    "mh_accept",
     "proposal_logits",
-    "replica_step",
     "run_batch",
     "run_sampler",
     "swap_probability",

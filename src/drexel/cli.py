@@ -10,6 +10,7 @@ Flags --out, --seed, --threads override the config.  Exit status: 0 success,
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import load_config
 from .errors import CapacityError, ConfigError, DomainError, NumericError, PreconditionError
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
         if args.command == "rbm-train" and config.kind != "rbm-train":
             raise ConfigError(f"rbm-train subcommand got kind {config.kind!r}")
         if args.seed is not None:
-            config.values["seed"] = args.seed
+            config = replace(config, seed=args.seed)
         summary = run_experiment(config, out=args.out, threads=args.threads)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,7 @@ Unknown keys are errors (fail closed), and every parse error names the
 offending line.  Sections are cosmetic grouping; keys are global.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import field, make_dataclass
 
 from .errors import ConfigError
 from .sampler import BDREAM, BDREXEL, REPLICA_SAMPLERS, SINGLE_CHAIN_SAMPLERS
@@ -67,18 +66,15 @@ _SCHEMA = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated experiment description; field names mirror the config keys."""
-
-    kind: str
-    values: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.__dict__["values"][name]
-        except KeyError:
-            raise AttributeError(name) from None
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(key, typ, field(default=default)) for key, (typ, default) in _SCHEMA.items()],
+    frozen=True,
+)
+ExperimentConfig.__doc__ = "Validated experiment description; one field per config key."
+# before Python 3.12 make_dataclass names `types` as the module, where the
+# threads > 1 workers could not find the class to unpickle a config
+ExperimentConfig.__module__ = __name__
 
 
 def _parse_scalar(key, raw, typ, lineno):
@@ -120,9 +116,7 @@ def parse_config(text: str) -> ExperimentConfig:
         typ, _ = _SCHEMA[key]
         values[key] = _parse_scalar(key, raw, typ, lineno)
     _validate(values)
-    full = {k: d for k, (_, d) in _SCHEMA.items()}
-    full.update(values)
-    return ExperimentConfig(kind=full["kind"], values=full)
+    return ExperimentConfig(**values)
 
 
 def _require(values, key, context):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ORDINAL, DomainSpec, embed
-from .errors import DomainError, NumericError
+from .domains import ORDINAL, DomainSpec
+from .errors import DomainError
 
 WAVE = "wave"
 EIGHT_GAUSSIAN = "8gaussian"
@@ -46,14 +46,6 @@ class EnergyModel(ABC):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_grad_batch(np.asarray(x, dtype=float)[None, :])[1][0]
-
-
-def energy_value(model: EnergyModel, state: np.ndarray) -> float:
-    """U at the embedded state; raises NumericError on a non-finite result."""
-    u = float(model.value(embed(state, model.domain)))
-    if not np.isfinite(u):
-        raise NumericError(f"energy is not finite at state {np.asarray(state)}: {u}")
-    return u
 
 
 @dataclass(frozen=True)

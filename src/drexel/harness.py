@@ -13,6 +13,7 @@ import csv
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -242,8 +243,8 @@ def _run_repeats(model, config, seeds, measure, threads):
 def _write_meta(out, config, seeds, extra=None):
     with open(os.path.join(out, "meta.txt"), "w") as fh:
         fh.write(f"drexel_version = {__version__}\n")
-        for key in sorted(config.values):
-            fh.write(f"{key} = {config.values[key]}\n")
+        for key, value in sorted(vars(config).items()):
+            fh.write(f"{key} = {value}\n")
         fh.write(f"repeat_seeds = {','.join(str(s) for s in seeds)}\n")
         for line in extra or ():
             fh.write(line + "\n")
@@ -348,13 +349,15 @@ def _run_rbm_train(config: ExperimentConfig, out, seeds):
 def _run_oracle_check(config: ExperimentConfig, out):
     """Reversibility and spectral checks on a tiny spin chain; plain-text report."""
     model = make_ising_chain(config.spins, config.coupling, np.full(config.spins, config.field))
-    low = ChainParams(alpha=config.alpha, tau=config.tau, mh_enabled=config.with_mh)
-    high = ChainParams(alpha=config.alpha_high, tau=config.tau_high, mh_enabled=config.with_mh)
+    # the history, naive and balanced rows are about the unadjusted chains;
+    # with_mh adjusts the single chain and adds the adjusted replica rows
+    low = ChainParams(alpha=config.alpha, tau=config.tau)
+    high = ChainParams(alpha=config.alpha_high, tau=config.tau_high)
     pi_low = enumerate_target(model, tau=config.tau)
     lines = []
     ok = True
 
-    single = exact_single_kernel(model, low, with_mh=config.with_mh)
+    single = exact_single_kernel(model, replace(low, mh_enabled=config.with_mh))
     res_single = detailed_balance_check(single, pi_low)
     lines.append(f"single_chain_db_residual = {res_single:.6e}")
     if config.with_mh:
@@ -377,7 +380,7 @@ def _run_oracle_check(config: ExperimentConfig, out):
         # Metropolis-adjusted replica kernel: residuals reported against both
         # candidate targets, no pass threshold asserted for either
         adjusted = exact_joint_kernel(
-            model, low, high, SwapConfig(variant="history", rho=config.rho), with_mh=True
+            model, replace(low, mh_enabled=True), replace(high, mh_enabled=True), SwapConfig(variant="history", rho=config.rho)
         )
         lines.append(
             f"joint_adjusted_db_residual_vs_intermediate = {detailed_balance_check(adjusted, pair_target):.6e}"

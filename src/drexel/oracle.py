@@ -91,15 +91,15 @@ def _proposal_matrix(model: EnergyModel, params: ChainParams, capacity: int = KE
     return Q, log_z
 
 
-def exact_single_kernel(model: EnergyModel, params: ChainParams, with_mh: bool = False) -> Kernel:
-    """One chain's exact transition matrix, optionally Metropolis-composed.
+def exact_single_kernel(model: EnergyModel, params: ChainParams) -> Kernel:
+    """One chain's exact transition matrix, Metropolis-composed when params.mh_enabled.
 
     Rejected mass goes to the diagonal.  The accept probability is computed
     as min(q_fwd, ratio * q_rev) entry-wise so detailed balance of the
     composed kernel holds to machine precision.
     """
     Q, _ = _proposal_matrix(model, params)
-    if not with_mh:
+    if not params.mh_enabled:
         return Kernel(matrix=Q)
     u = model.value_batch(embed_all(model.domain))
     ratio = np.exp((u[None, :] - u[:, None]) / params.tau)  # pi(y)/pi(x), tempered
@@ -230,9 +230,10 @@ def exact_joint_kernel(
     params_low: ChainParams,
     params_high: ChainParams,
     swap: SwapConfig,
-    with_mh: bool = False,
 ) -> Kernel:
     """Exact one-iteration replica kernel over state pairs, as the sampler runs it.
+
+    Each chain is Metropolis-adjusted when its params have mh_enabled.
 
     Landing on pair (y1, y2) happens either with proposals (y1, y2) and a
     failed swap test, or with proposals (y2, y1) and a successful one; each
@@ -242,8 +243,8 @@ def exact_joint_kernel(
     n = model.domain.num_states
     if n * n > KERNEL_CAPACITY:
         raise CapacityError(f"{n * n} pair states exceeds kernel capacity {KERNEL_CAPACITY}")
-    q1 = exact_single_kernel(model, params_low, with_mh).matrix
-    q2 = exact_single_kernel(model, params_high, with_mh).matrix
+    q1 = exact_single_kernel(model, params_low).matrix
+    q2 = exact_single_kernel(model, params_high).matrix
     u = model.value_batch(embed_all(model.domain))
     s = _swap_prob_grid(swap, params_low.tau, params_high.tau, u)
     s_noswap = s.reshape(n * n, n * n)
@@ -270,15 +271,18 @@ def balanced_joint_kernel(
 
     The resulting kernel satisfies detailed balance with respect to the
     intermediate pair target to machine precision, for any rho in [0, 1].
+    Both chains are unadjusted; params with mh_enabled raise DomainError.
     """
     model = _require_quadratic(model)
+    if params_low.mh_enabled or params_high.mh_enabled:
+        raise DomainError("the balanced swap is derived for unadjusted chains; got params with mh_enabled")
     n = model.domain.num_states
     if n * n > KERNEL_CAPACITY:
         raise CapacityError(f"{n * n} pair states exceeds kernel capacity {KERNEL_CAPACITY}")
     a1, t1 = params_low.alpha, params_low.tau
     a2, t2 = params_high.alpha, params_high.tau
-    q1 = exact_single_kernel(model, params_low, with_mh=False).matrix
-    q2 = exact_single_kernel(model, params_high, with_mh=False).matrix
+    q1 = exact_single_kernel(model, params_low).matrix
+    q2 = exact_single_kernel(model, params_high).matrix
     xs = embed_all(model.domain)
     u = model.value_batch(xs)
     beta = 1.0 / t2 - 1.0 / t1

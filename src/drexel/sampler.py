@@ -19,9 +19,7 @@ carries its retained state together with that state's energy, gradient
 and log-proposal table.  A step draws from the carried tables and
 evaluates the energy once per chain, at the proposals: that one
 `value_and_grad_batch` call gives the Metropolis energies, the reverse
-log-proposals and, on acceptance, the next forward tables.  The public
-single-chain and replica-pair step functions are K = 1 and K = 2 uses of
-the same kernel.
+log-proposals and, on acceptance, the next forward tables.
 """
 
 import time
@@ -32,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .domains import BINARY01, SPIN_PM1, DomainSpec
-from .energies import EnergyModel, _sigmoid, energy_value
+from .energies import EnergyModel, _sigmoid
 from .errors import DomainError, NumericError
 from .rng import SALT_HIGH, SALT_LOW, SALT_SWAP, substream
 
@@ -81,19 +79,6 @@ class SwapConfig:
             raise DomainError(f"swap intensity rho must be in [0, 1], got {self.rho}")
         if self.sigma2 < 0:
             raise DomainError(f"sigma2 must be nonnegative, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one chain step: retained state plus proposal bookkeeping."""
-
-    state: np.ndarray
-    proposal: np.ndarray
-    forward_logq: float
-    reverse_logq: float
-    accepted: bool
-    energy: float  # U at the retained state
-    proposal_energy: float
 
 
 def _logits(x: np.ndarray, g: np.ndarray, values: np.ndarray, alpha, tau) -> np.ndarray:
@@ -276,29 +261,6 @@ class _Kernel:
         return _Chains(states, energy, grad, logp), swapped
 
 
-def _single(model: EnergyModel, state: np.ndarray, params: ChainParams):
-    """A one-chain kernel with its chain evaluated at state."""
-    kernel = _Kernel(model, (params,))
-    return kernel, kernel.evaluate(model.domain.validate_state(state)[None, :])
-
-
-def _outcome(kept: _Chains, new: _Chains, fwd, rev, accepted) -> StepOutcome:
-    """The StepOutcome of a one-chain kernel step."""
-    k, n = kept.states[0], new.states[0]
-    return StepOutcome(k, n, float(fwd[0]), float(rev[0]), bool(accepted[0]), float(kept.energy[0]), float(new.energy[0]))
-
-
-def dls_step(model: EnergyModel, state: np.ndarray, params: ChainParams, rng: np.random.Generator) -> StepOutcome:
-    """Draw all coordinates from their categoricals (no accept/reject here).
-
-    The proposal's single energy evaluation gives its energy and, when the
-    chain has its Metropolis correction enabled, the reverse log-proposal.
-    """
-    kernel, chains = _single(model, state, params)
-    new, forward_logq, reverse_logq = kernel.propose(chains, rng.random(model.domain.dim)[None, :])
-    return _outcome(new, new, forward_logq, reverse_logq, np.ones(1, dtype=bool))
-
-
 def binary_flip_probs(model: EnergyModel, state: np.ndarray, params: ChainParams) -> np.ndarray:
     """Closed-form per-coordinate flip probabilities for two-level domains."""
     domain = model.domain
@@ -308,39 +270,6 @@ def binary_flip_probs(model: EnergyModel, state: np.ndarray, params: ChainParams
     logits = _all_logits(model, state, params)
     # two-category softmax against the zero stay-logit is a sigmoid
     return _sigmoid(logits[np.arange(domain.dim), 1 - state])
-
-
-def mh_accept(
-    model: EnergyModel,
-    params: ChainParams,
-    outcome: StepOutcome,
-    current: np.ndarray,
-    rng: np.random.Generator,
-    current_energy: Optional[float] = None,
-) -> bool:
-    """Metropolis decision for a dls_step proposal against pi^(1/tau)."""
-    if np.isnan(outcome.reverse_logq):
-        raise DomainError("outcome has no reverse log-proposal; run dls_step with mh_enabled params")
-    if current_energy is None:
-        current_energy = energy_value(model, current)
-    if not np.isfinite(outcome.proposal_energy):
-        raise NumericError(f"proposal energy not finite: {outcome.proposal_energy}")
-    log_a = (outcome.proposal_energy - current_energy) / params.tau + outcome.reverse_logq - outcome.forward_logq
-    return bool(_accepts(log_a, rng.random()))
-
-
-def chain_step(
-    model: EnergyModel,
-    state: np.ndarray,
-    params: ChainParams,
-    rng: np.random.Generator,
-    current_energy: Optional[float] = None,
-) -> StepOutcome:
-    """One full chain update: propose, then apply the Metropolis decision if enabled."""
-    kernel, chains = _single(model, state, params)
-    if current_energy is not None:
-        chains = chains._replace(energy=np.array([current_energy], dtype=float))
-    return _outcome(*kernel.step(chains, kernel.draw((rng,))))
 
 
 def swap_probability(
@@ -362,74 +291,6 @@ def swap_probability(
         if not np.isfinite(u):
             raise NumericError(f"swap probability needs finite energies, got {u}")
     return float(_swap_probs(config, tau1, tau2, u_next1, u_next2, u_prev1, u_prev2))
-
-
-@dataclass(frozen=True)
-class ReplicaPair:
-    """A low- and a high-temperature chain: rows 0 and 1 of chains, each with its state's energy, gradient and table."""
-
-    chains: _Chains
-    params_low: ChainParams
-    params_high: ChainParams
-    swap: SwapConfig
-
-    @property
-    def low(self) -> np.ndarray:
-        return self.chains.states[0]
-
-    @property
-    def high(self) -> np.ndarray:
-        return self.chains.states[1]
-
-    @property
-    def prev_energy_low(self) -> float:
-        return float(self.chains.energy[0])
-
-    @property
-    def prev_energy_high(self) -> float:
-        return float(self.chains.energy[1])
-
-
-@dataclass(frozen=True)
-class IterationStats:
-    accepted_low: bool
-    accepted_high: bool
-    swapped: bool
-    energy_low: float
-    energy_high: float
-
-
-def make_replica_pair(low, high, params_low, params_high, swap, model) -> ReplicaPair:
-    kernel = _Kernel(model, (params_low, params_high), swap)
-    states = np.stack([model.domain.validate_state(low), model.domain.validate_state(high)])
-    return ReplicaPair(kernel.evaluate(states), params_low, params_high, swap)
-
-
-def replica_step(
-    pair: ReplicaPair,
-    model: EnergyModel,
-    rng_low: np.random.Generator,
-    rng_high: np.random.Generator,
-    rng_swap: np.random.Generator,
-):
-    """One replica-exchange iteration: step both chains, then try a swap.
-
-    The swap probability sees the energies of the states actually retained
-    after the Metropolis decisions (U_next) together with the cached energies
-    from the start of the iteration (U_prev); the caches roll forward to the
-    post-swap current energies.
-    """
-    kernel = _Kernel(model, (pair.params_low, pair.params_high), pair.swap)
-    kept, _, _, _, accepted = kernel.step(pair.chains, kernel.draw((rng_low, rng_high)))
-    chains, swapped = kernel.exchange(pair.chains.energy, kept, np.array([rng_swap.random()]))
-    stats = IterationStats(
-        accepted_low=bool(accepted[0]),
-        accepted_high=bool(accepted[1]),
-        swapped=bool(swapped[0]),
-        energy_low=float(chains.energy[0]),
-        energy_high=float(chains.energy[1]),
-    )
-    return replace(pair, chains=chains), stats
 
 
 @dataclass(frozen=True)

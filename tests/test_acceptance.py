@@ -77,7 +77,7 @@ def test_criterion_1_mh_exactness(three_spin_ising):
     """DMALA kernel on the 3-spin chain: detailed balance residual <= 1e-12."""
     t0 = time.perf_counter()
     pi = enumerate_target(three_spin_ising)
-    kernel = exact_single_kernel(three_spin_ising, ChainParams(alpha=0.4, tau=1.0), with_mh=True)
+    kernel = exact_single_kernel(three_spin_ising, ChainParams(alpha=0.4, tau=1.0, mh_enabled=True))
     residual = detailed_balance_check(kernel, pi)
     elapsed = time.perf_counter() - t0
     ok = residual <= 1e-12 and elapsed < 1.0

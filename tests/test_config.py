@@ -1,8 +1,11 @@
 """Config parsing: fail-closed validation with line-numbered errors."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from drexel.config import load_config, parse_config
+from drexel.config import _SCHEMA, load_config, parse_config
 from drexel.errors import ConfigError
 
 MINIMAL_SYNTHETIC = """
@@ -133,3 +136,56 @@ def test_removed_keys_fail_closed(key):
     """Keys that never changed a run are gone; configs that set them are rejected."""
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(MINIMAL_SYNTHETIC + f"{key} = 10\n")
+
+
+def test_config_is_a_frozen_record_of_the_schema():
+    cfg = parse_config(MINIMAL_SYNTHETIC)
+    assert set(vars(cfg)) == set(_SCHEMA)
+    with pytest.raises(AttributeError):
+        cfg.alpah
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 8
+    assert dataclasses.replace(cfg, seed=8).seed == 8 and cfg.seed == 7
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+# every key each bundled config sets; all other fields keep their schema default
+BUNDLED = {
+    "ising_4x4_dream.cfg": dict(
+        kind="ising", side=4, coupling=0.15, periodic=True, field=0.0, seed=7, repeats=10, out="runs/ising_dream",
+        sampler="dream", alpha=0.4, tau=1.0, alpha_high=0.9, tau_high=5.0, iterations=50000,
+        init="bernoulli", init_prob=0.6,
+    ),
+    "oracle_2spin.cfg": dict(
+        kind="oracle-check", spins=2, coupling=0.15, alpha=0.2, tau=1.0, alpha_high=0.4, tau_high=2.0,
+        rho=1.0, n_max=50, seed=1, out="runs/oracle",
+    ),
+    "rbm_sample_dream.cfg": dict(
+        kind="rbm-sample", weights="runs/rbm/rbm_weights.bin", sampler="dream", alpha=0.2, tau=1.0,
+        alpha_high=0.4, tau_high=2.0, iterations=10000, repeats=10, seed=9, gibbs_burn_in=1000,
+        out="runs/rbm_sample_dream",
+    ),
+    "rbm_train.cfg": dict(
+        kind="rbm-train", visible=16, hidden=8, cd_k=1, learning_rate=0.001, train_iterations=1000,
+        batch_size=128, modes=2, per_mode=500, flip_prob=0.05, seed=6, out="runs/rbm", weights_out="rbm_weights.bin",
+    ),
+    "synthetic_16gaussian_dmala.cfg": dict(
+        kind="synthetic", energy="16gaussian", grid_levels=64, c=2.0, seed=7, repeats=10,
+        out="runs/16gaussian_dmala", sampler="dmala", alpha=0.023, tau=1.0, iterations=100000,
+    ),
+    "synthetic_16gaussian_dream.cfg": dict(
+        kind="synthetic", energy="16gaussian", grid_levels=64, c=2.0, seed=7, repeats=10,
+        out="runs/16gaussian_dream", sampler="dream", alpha=0.023, tau=1.0, alpha_high=0.053, tau_high=2.0,
+        rho=1.0, iterations=100000,
+    ),
+}
+
+
+def test_every_bundled_config_parses():
+    assert sorted(p.name for p in CONFIGS.glob("*.cfg")) == sorted(BUNDLED)
+    for name, expected in BUNDLED.items():
+        cfg = load_config(CONFIGS / name)
+        want = {key: default for key, (_, default) in _SCHEMA.items()} | expected
+        got = {key: getattr(cfg, key) for key in _SCHEMA}
+        assert {k: (type(v), v) for k, v in got.items()} == {k: (type(v), v) for k, v in want.items()}, name

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from drexel import (
     ChainParams,
     RunConfig,
-    energy_value,
     make_ising_chain,
     make_ising_lattice,
     make_synthetic,
@@ -31,7 +30,7 @@ from test_golden import trace_digest
 
 class TestQuadratic:
     def test_two_spin_value(self, two_spin_ising):
-        assert energy_value(two_spin_ising, np.array([1, 1])) == pytest.approx(0.3, abs=1e-15)
+        assert two_spin_ising.value(embed(np.array([1, 1]), two_spin_ising.domain)) == pytest.approx(0.3, abs=1e-15)
 
     def test_two_spin_gradient(self, two_spin_ising):
         g = two_spin_ising.gradient(embed(np.array([1, 1]), two_spin_ising.domain))
@@ -64,7 +63,7 @@ class TestRbm:
     def test_zero_weights_value(self):
         dom = DomainSpec.binary01(4)
         model = RbmFreeEnergy(domain=dom, W=np.zeros((8, 4)), c=np.zeros(8), b=np.zeros(4))
-        assert energy_value(model, np.array([1, 0, 1, 0])) == pytest.approx(8 * np.log(2), rel=1e-12)
+        assert model.value(embed(np.array([1, 0, 1, 0]), model.domain)) == pytest.approx(8 * np.log(2), rel=1e-12)
 
     def test_zero_weights_gradient_is_bias(self):
         dom = DomainSpec.binary01(3)
@@ -75,7 +74,7 @@ class TestRbm:
     def test_softplus_overflow_safe(self):
         dom = DomainSpec.binary01(2)
         model = RbmFreeEnergy(domain=dom, W=np.zeros((2, 2)), c=np.array([1e4, -1e4]), b=np.zeros(2))
-        u = energy_value(model, np.array([0, 0]))
+        u = model.value(embed(np.array([0, 0]), model.domain))
         assert np.isfinite(u)
         assert u == pytest.approx(1e4, rel=1e-10)  # softplus(1e4) + softplus(-1e4)
 
@@ -253,5 +252,5 @@ def test_a_model_needs_only_value_and_grad_batch():
         assert trace_digest(run_sampler(model, cfg)) == trace_digest(run_sampler(same, cfg))
     assert np.array_equal(enumerate_target(model).p, enumerate_target(same).p)
     params = ChainParams(alpha=0.3, mh_enabled=True)
-    K = exact_single_kernel(model, params, with_mh=True).matrix
-    assert np.array_equal(K, exact_single_kernel(same, params, with_mh=True).matrix)
+    K = exact_single_kernel(model, params).matrix
+    assert np.array_equal(K, exact_single_kernel(same, params).matrix)

@@ -7,6 +7,8 @@ below pin the honest residuals and verify the corrected swap exponent that
 does achieve exact balance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,23 +89,23 @@ class TestSingleKernel:
         J = np.triu(J, 1)
         J = J + J.T
         model = QuadraticEnergy(domain=DomainSpec.spin_pm1(4), J=J, b=rng.normal(size=4), w=0.25)
-        K = exact_single_kernel(model, ChainParams(alpha=0.6, tau=1.5), with_mh=True)
+        K = exact_single_kernel(model, ChainParams(alpha=0.6, tau=1.5, mh_enabled=True))
         assert np.abs(K.matrix.sum(axis=1) - 1).max() <= 1e-12
 
     def test_mh_detailed_balance_three_spins(self, three_spin_ising):
         """DMALA kernel balance against the tempered target, machine precision."""
         pi = enumerate_target(three_spin_ising)
-        K = exact_single_kernel(three_spin_ising, ChainParams(alpha=0.4, tau=1.0), with_mh=True)
+        K = exact_single_kernel(three_spin_ising, ChainParams(alpha=0.4, tau=1.0, mh_enabled=True))
         assert detailed_balance_check(K, pi) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.05, 0.4, 2.0, 20.0])
     def test_mh_exact_for_any_step_size(self, three_spin_ising, alpha):
         pi = enumerate_target(three_spin_ising, tau=1.7)
-        K = exact_single_kernel(three_spin_ising, ChainParams(alpha=alpha, tau=1.7), with_mh=True)
+        K = exact_single_kernel(three_spin_ising, ChainParams(alpha=alpha, tau=1.7, mh_enabled=True))
         assert detailed_balance_check(K, pi) <= 1e-12
 
     def test_kernel_strictly_positive(self, two_spin_ising):
-        K = exact_single_kernel(two_spin_ising, ChainParams(alpha=0.4), with_mh=True)
+        K = exact_single_kernel(two_spin_ising, ChainParams(alpha=0.4, mh_enabled=True))
         assert K.matrix.min() > 0
 
     def test_unadjusted_kernel_reversible_wrt_weighted_target(self, three_spin_ising):
@@ -182,6 +184,22 @@ class TestJointKernel:
         q1 = exact_single_kernel(two_spin_ising, self.low).matrix
         q2 = exact_single_kernel(two_spin_ising, self.high).matrix
         assert np.abs(K.matrix - np.kron(q1, q2)).max() <= 1e-14
+
+    def test_metropolis_switch_comes_from_the_params(self, two_spin_ising):
+        """Each chain of the joint kernel is adjusted exactly when its params say so."""
+        low, high = (replace(p, mh_enabled=True) for p in (self.low, self.high))
+        K = exact_joint_kernel(two_spin_ising, low, high, SwapConfig(variant="history", rho=0.0)).matrix
+        q1 = exact_single_kernel(two_spin_ising, low).matrix
+        q2 = exact_single_kernel(two_spin_ising, high).matrix
+        assert np.abs(K - np.kron(q1, q2)).max() <= 1e-14
+        unadjusted = exact_joint_kernel(two_spin_ising, self.low, self.high, SwapConfig(variant="history", rho=0.0))
+        assert not np.array_equal(K, unadjusted.matrix)
+
+    def test_balanced_kernel_rejects_metropolis_params(self, two_spin_ising):
+        adjusted = (replace(self.low, mh_enabled=True), replace(self.high, mh_enabled=True))
+        for low, high in ((adjusted[0], self.high), (self.low, adjusted[1])):
+            with pytest.raises(DomainError, match="mh_enabled"):
+                balanced_joint_kernel(two_spin_ising, low, high)
 
     def test_rows_sum_to_one(self, two_spin_ising):
         K = exact_joint_kernel(two_spin_ising, self.low, self.high, SwapConfig(variant="history", rho=1.0))

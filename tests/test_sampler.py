@@ -1,4 +1,4 @@
-"""Proposal construction, Metropolis decisions, swap functions, replica stepping."""
+"""Proposal construction, Metropolis decisions, swap functions, replica stepping, all through the one kernel."""
 
 import functools
 import hashlib
@@ -16,7 +16,6 @@ from drexel import (
     RunConfig,
     SwapConfig,
     binary_flip_probs,
-    dls_step,
     make_ising_chain,
     make_synthetic,
     proposal_logits,
@@ -28,7 +27,7 @@ from drexel.domains import DomainSpec
 from drexel.energies import EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
-from drexel.sampler import StepOutcome, chain_step, make_replica_pair, mh_accept, replica_step
+from drexel.sampler import _accepts, _Kernel
 from test_golden import GOLDEN, golden_config, trace_digest
 
 
@@ -40,6 +39,18 @@ def zero_gradient_model(domain):
 def softmax(logits):
     z = np.exp(logits - logits.max())
     return z / z.sum()
+
+
+def one_chain(model, state, params):
+    """A one-chain kernel and its chain evaluated at state."""
+    kernel = _Kernel(model, (params,))
+    return kernel, kernel.evaluate(np.array([state]))
+
+
+def propose(kernel, chains, rng):
+    """One proposal of a one-chain kernel: (proposal, forward log q, reverse log q)."""
+    new, forward_logq, reverse_logq = kernel.propose(chains, rng.random((1, chains.states.shape[1])))
+    return new.states[0], forward_logq[0], reverse_logq[0]
 
 
 class TestProposalLogits:
@@ -127,21 +138,20 @@ class TestDlsStep:
         for coord in range(2):
             p = softmax(proposal_logits(model, state, params, coord))
             assert p[state[coord]] >= 1 - 1e-6
+        kernel, chains = one_chain(model, state, params)
         rng = substream(0, SALT_LOW)
         for _ in range(100):
-            out = dls_step(model, state, params, rng)
-            assert np.array_equal(out.proposal, state)
+            assert np.array_equal(propose(kernel, chains, rng)[0], state)
 
     def test_zero_gradient_flip_frequency(self):
         """Empirical flips vs sigma(-0.5) = 0.37754 over 1e5 coordinate draws."""
         dom = DomainSpec.binary01(100)
         model = zero_gradient_model(dom)
         rng = substream(1, SALT_LOW)
-        state = np.zeros(100, dtype=np.int64)
+        kernel, chains = one_chain(model, np.zeros(100, dtype=np.int64), ChainParams(alpha=1.0))
         flips = 0
         for _ in range(1000):
-            out = dls_step(model, state, ChainParams(alpha=1.0), rng)
-            flips += int(out.proposal.sum())
+            flips += int(propose(kernel, chains, rng)[0].sum())
         freq = flips / 100_000
         assert freq == pytest.approx(1 / (1 + np.exp(0.5)), abs=0.005)
 
@@ -150,27 +160,27 @@ class TestDlsStep:
         rng = np.random.default_rng(9)
         model = QuadraticEnergy(domain=dom, J=np.zeros((3, 3)), b=rng.normal(size=3), w=1.0)
         state = np.array([5, 2, 8])
-        out1 = dls_step(model, state, ChainParams(alpha=0.3), substream(42, SALT_LOW))
-        out2 = dls_step(model, state, ChainParams(alpha=0.3), substream(42, SALT_LOW))
-        assert np.array_equal(out1.proposal, out2.proposal)
-        assert out1.forward_logq == out2.forward_logq
+        prop1, fwd1, _ = propose(*one_chain(model, state, ChainParams(alpha=0.3)), substream(42, SALT_LOW))
+        prop2, fwd2, _ = propose(*one_chain(model, state, ChainParams(alpha=0.3)), substream(42, SALT_LOW))
+        assert np.array_equal(prop1, prop2)
+        assert fwd1 == fwd2
 
     def test_forward_logq_matches_manual(self):
         dom = DomainSpec.spin_pm1(2)
         model = make_ising_chain(2, 0.15, np.zeros(2))
         params = ChainParams(alpha=0.4, tau=1.0, mh_enabled=True)
         state = np.array([0, 1])
-        out = dls_step(model, state, params, substream(3, SALT_LOW))
+        proposal, forward_logq, reverse_logq = propose(*one_chain(model, state, params), substream(3, SALT_LOW))
         expected = 0.0
         for d in range(2):
             p = softmax(proposal_logits(model, state, params, d))
-            expected += np.log(p[out.proposal[d]])
-        assert out.forward_logq == pytest.approx(expected, abs=1e-12)
+            expected += np.log(p[proposal[d]])
+        assert forward_logq == pytest.approx(expected, abs=1e-12)
         rev = 0.0
         for d in range(2):
-            p = softmax(proposal_logits(model, out.proposal, params, d))
+            p = softmax(proposal_logits(model, proposal, params, d))
             rev += np.log(p[state[d]])
-        assert out.reverse_logq == pytest.approx(rev, abs=1e-12)
+        assert reverse_logq == pytest.approx(rev, abs=1e-12)
 
 
 class TestMhAccept:
@@ -178,10 +188,11 @@ class TestMhAccept:
         params = ChainParams(alpha=1e-9, tau=1.0, mh_enabled=True)
         rng = substream(7, SALT_LOW)
         state = np.array([0, 1])
+        kernel, chains = one_chain(two_spin_ising, state, params)
         for _ in range(50):
-            out = chain_step(two_spin_ising, state, params, rng)
-            assert out.accepted
-            assert np.array_equal(out.state, state)
+            chains, _, _, _, accepted = kernel.step(chains, kernel.draw((rng,)))
+            assert accepted[0]
+            assert np.array_equal(chains.states[0], state)
 
     def test_acceptance_formula_on_energy_increase(self, two_spin_ising):
         """With a symmetric proposal the acceptance is exactly exp(dU / tau)."""
@@ -200,20 +211,9 @@ class TestMhAccept:
         assert np.exp(min(0.0, log_a)) + np.exp(min(0.0, log_a_rev)) > 1.0  # one side is certain
         assert np.exp(log_a) * np.exp(log_a_rev) == pytest.approx(1.0, abs=1e-12)
 
-    def test_nan_log_ratio_never_accepts(self, two_spin_ising):
-        params = ChainParams(alpha=0.4, mh_enabled=True)
-        state = np.array([0, 1])
-        out = StepOutcome(
-            state=state, proposal=state, forward_logq=float("nan"), reverse_logq=-0.5,
-            accepted=True, energy=-0.3, proposal_energy=-0.3,
-        )
-        rng = substream(4, SALT_LOW)
-        assert not any(mh_accept(two_spin_ising, params, out, state, rng, current_energy=-0.3) for _ in range(100))
-
-    def test_missing_reverse_logq_fails_loudly(self, two_spin_ising):
-        out = dls_step(two_spin_ising, np.array([0, 1]), ChainParams(alpha=0.4), substream(0, SALT_LOW))
-        with pytest.raises(DomainError):
-            mh_accept(two_spin_ising, ChainParams(alpha=0.4, mh_enabled=True), out, np.array([0, 1]), substream(1, SALT_LOW))
+    def test_nan_log_ratio_never_accepts(self):
+        u = np.append(substream(4, SALT_LOW).random(100), 0.0)
+        assert not _accepts(np.full(u.shape, np.nan), u).any()
 
 
 class TestSwapProbability:
@@ -298,19 +298,27 @@ class TestReplica:
         assert trace.swap_successes == trace.iterations
 
     def test_prev_energy_cache_consistency(self, two_spin_ising):
-        from drexel import energy_value
+        """The carried energy, gradient and table equal a fresh evaluation after every step and swap test."""
 
-        params_low = ChainParams(alpha=0.2, tau=1.0)
-        params_high = ChainParams(alpha=0.4, tau=2.0)
-        pair = make_replica_pair(
-            np.array([0, 0]), np.array([1, 0]), params_low, params_high,
-            SwapConfig(variant="history", rho=1.0), two_spin_ising,
-        )
-        rngs = [substream(1, SALT_LOW), substream(2, SALT_LOW), substream(3, SALT_LOW)]
-        for _ in range(50):
-            pair, _ = replica_step(pair, two_spin_ising, *rngs)
-            assert pair.prev_energy_low == energy_value(two_spin_ising, pair.low)
-            assert pair.prev_energy_high == energy_value(two_spin_ising, pair.high)
+        def assert_fresh(kernel, chains):
+            fresh = kernel.evaluate(chains.states)
+            for carried, expected in zip(chains[1:], fresh[1:]):
+                assert np.array_equal(carried, expected)
+
+        for mh in (False, True):  # a DREXEL and a DREAM pair
+            params = ChainParams(alpha=0.2, tau=1.0, mh_enabled=mh), ChainParams(alpha=0.4, tau=2.0, mh_enabled=mh)
+            kernel = _Kernel(two_spin_ising, params, SwapConfig(variant="history", rho=1.0))
+            rng_low, rng_high, rng_swap = [substream(seed, SALT_LOW) for seed in (1, 2, 3)]
+            chains = kernel.evaluate(np.array([[0, 0], [1, 0]]))
+            swaps = 0
+            for _ in range(50):
+                prev_energy = chains.energy
+                chains = kernel.step(chains, kernel.draw((rng_low, rng_high)))[0]
+                assert_fresh(kernel, chains)
+                chains, swapped = kernel.exchange(prev_energy, chains, np.array([rng_swap.random()]))
+                assert_fresh(kernel, chains)
+                swaps += int(swapped[0])
+            assert 0 < swaps < 50
 
     def test_run_is_seed_deterministic(self, three_spin_ising):
         cfg = RunConfig(
@@ -368,7 +376,7 @@ class TestLongRunConvergence:
         biases = {}
         for with_mh in (False, True):
             params = ChainParams(alpha=0.1, tau=1.0, mh_enabled=with_mh)
-            K = exact_single_kernel(binary_chain, params, with_mh=with_mh).matrix
+            K = exact_single_kernel(binary_chain, params).matrix
             evals, evecs = np.linalg.eig(K.T)
             st = np.real(evecs[:, np.argmin(np.abs(evals - 1))])
             st /= st.sum()
@@ -433,19 +441,24 @@ def kernel_params(with_mh):
 
 @functools.lru_cache(maxsize=None)
 def kernel_run_counts(name):
-    """16 x 16 pair-state transition counts of one fixed-seed replica-pair run on the 2-spin Ising chain."""
+    """16 x 16 pair-state transition counts of one fixed-seed replica-pair run on the 2-spin Ising chain.
+
+    One two-chain kernel is stepped as run_batch steps it: both chains'
+    uniforms from the low and high generators, then the swap uniform.
+    """
     from drexel.domains import state_index
 
     with_mh, iters, low, high, seeds = KERNEL_RUNS[name]
     model = make_ising_chain(2, 0.15, np.zeros(2))
-    swap = SwapConfig(variant="history", rho=1.0)
-    pair = make_replica_pair(np.array(low), np.array(high), *kernel_params(with_mh), swap, model)
-    rngs = [substream(seed, SALT_LOW) for seed in seeds]
+    kernel = _Kernel(model, kernel_params(with_mh), SwapConfig(variant="history", rho=1.0))
+    rng_low, rng_high, rng_swap = [substream(seed, SALT_LOW) for seed in seeds]
+    chains = kernel.evaluate(np.array([low, high]))
     counts = np.zeros((16, 16))
-    prev = state_index(pair.low, model.domain) * 4 + state_index(pair.high, model.domain)
+    prev = state_index(chains.states[0], model.domain) * 4 + state_index(chains.states[1], model.domain)
     for _ in range(iters):
-        pair, _ = replica_step(pair, model, *rngs)
-        cur = state_index(pair.low, model.domain) * 4 + state_index(pair.high, model.domain)
+        kept = kernel.step(chains, kernel.draw((rng_low, rng_high)))[0]
+        chains, _ = kernel.exchange(chains.energy, kept, np.array([rng_swap.random()]))
+        cur = state_index(chains.states[0], model.domain) * 4 + state_index(chains.states[1], model.domain)
         counts[prev, cur] += 1
         prev = cur
     return counts
@@ -463,7 +476,7 @@ def exact_pair_kernel(name, swap):
 
     with_mh = KERNEL_RUNS[name][0]
     model = make_ising_chain(2, 0.15, np.zeros(2))
-    return exact_joint_kernel(model, *kernel_params(with_mh), swap, with_mh=with_mh).matrix
+    return exact_joint_kernel(model, *kernel_params(with_mh), swap).matrix
 
 
 class TestEmpiricalKernelMatchesOracle:
@@ -601,12 +614,12 @@ class TestNonFiniteFailsLoudly:
         with pytest.raises(NumericError, match="seed 8, initial states: low chain: energy not finite"):
             run_sampler(model, RunConfig(iterations=10, **_run_kwargs("dula")))
 
-    @pytest.mark.parametrize("step", ["dls_step", "chain_step"])
-    def test_public_steps_reject_nan_gradient(self, step):
+    @pytest.mark.parametrize("mh", [False, True], ids=["unadjusted", "metropolis"])
+    def test_kernel_evaluate_rejects_nan_gradient(self, mh):
         model = _nan_gradient_model(lambda x: True)
-        fn = dls_step if step == "dls_step" else chain_step
-        with pytest.raises(NumericError):
-            fn(model, np.array([3, 4]), ChainParams(alpha=0.1, mh_enabled=True), substream(0, SALT_LOW))
+        kernel = _Kernel(model, (ChainParams(alpha=0.1, mh_enabled=mh),))
+        with pytest.raises(NumericError, match="^low chain: 2 of 2 gradient entries not finite$"):
+            kernel.evaluate(np.array([[3, 4]]))
 
 
 class TestRunBatch:
