@@ -379,9 +379,8 @@ def _run_oracle_check(config: ExperimentConfig, out):
     if config.with_mh:
         # Metropolis-adjusted replica kernel: residuals reported against both
         # candidate targets, no pass threshold asserted for either
-        adjusted = exact_joint_kernel(
-            model, replace(low, mh_enabled=True), replace(high, mh_enabled=True), SwapConfig(variant="history", rho=config.rho)
-        )
+        adjusted_low, adjusted_high = (replace(p, mh_enabled=True) for p in (low, high))
+        adjusted = exact_joint_kernel(model, adjusted_low, adjusted_high, SwapConfig(variant="history", rho=config.rho))
         lines.append(
             f"joint_adjusted_db_residual_vs_intermediate = {detailed_balance_check(adjusted, pair_target):.6e}"
         )
