@@ -38,10 +38,12 @@ from .metrics import (
 from .oracle import (
     balanced_joint_kernel,
     block_gibbs_rbm_step,
+    colour_classes,
     detailed_balance_check,
     enumerate_target,
     exact_joint_kernel,
     exact_single_kernel,
+    heat_bath_sweep,
     intermediate_pair_pmf,
     spectral_tv_bound_check,
     tempered_pair_pmf,
@@ -183,21 +185,18 @@ def _synthetic_metrics(model, truth, truth_features, rff, trace):
 
 
 def _magnetization_truth(model, config):
-    """Per-site mean spin, exact when enumeration fits, else a long Gibbs reference."""
+    """Per-site mean spin, exact when enumeration fits, else a long colour-class heat-bath reference."""
     n = model.domain.dim
     if n <= 20:
         pi = enumerate_target(model)
         return pi.p @ embed_all(model.domain)
     rng = substream(config.seed, SALT_REFERENCE)
-    emb = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    spins = np.where(rng.random(n) < 0.5, 1.0, -1.0)[None, :]
+    classes = colour_classes(model)
     total = np.zeros(n)
-    J = model.J
     for _ in range(config.reference_steps):
-        for d in range(n):
-            grad_d = 2.0 * model.w * (J[d] @ emb) + model.b[d]
-            p_up = 1.0 / (1.0 + np.exp(-2.0 * grad_d))  # heat-bath conditional
-            emb[d] = 1.0 if rng.random() < p_up else -1.0
-        total += emb
+        spins = heat_bath_sweep(model, classes, spins, rng)
+        total += spins[0]
     return total / config.reference_steps
 
 

@@ -22,6 +22,8 @@ evaluates the energy once per chain, at the proposals: that one
 log-proposals and, on acceptance, the next forward tables.
 """
 
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -33,6 +35,8 @@ from .domains import BINARY01, SPIN_PM1, DomainSpec
 from .energies import EnergyModel, _sigmoid
 from .errors import DomainError, NumericError
 from .rng import SALT_HIGH, SALT_LOW, SALT_SWAP, substream
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 DULA = "dula"
 DMALA = "dmala"
@@ -127,6 +131,14 @@ def _swap_probs(swap: SwapConfig, tau1, tau2, u_next1, u_next2, u_prev1, u_prev2
     return swap.rho * np.exp(np.minimum(exponent, 0.0))
 
 
+def _outside_stacklevel() -> int:
+    """The stacklevel at which a warning raised by the caller names the first line outside this package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 class _Chains(NamedTuple):
     """K chains' retained states with their energies, gradients and log-softmax proposal tables."""
 
@@ -160,7 +172,7 @@ class _Kernel:
         if swap is not None and ((self.tau[0::2] >= self.tau[1::2]) | (self.alpha[0::2] >= self.alpha[1::2])).any():
             warnings.warn(
                 "replica pair expects tau_low < tau_high and alpha_low < alpha_high; running anyway",
-                stacklevel=3,
+                stacklevel=_outside_stacklevel(),
             )
         self.labels = ("low", "high") * (k // 2) if swap is not None else ("low",) * k
 

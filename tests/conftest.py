@@ -33,6 +33,13 @@ def gradient_matches_fd(model, points, rtol=1e-5):
     return worst
 
 
+def random_coupling(n, density, seed):
+    """Symmetric real n x n coupling with zero diagonal and about density * n^2 normal non-zeros."""
+    rng = np.random.default_rng(seed)
+    J = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < density), k=1)
+    return J + J.T
+
+
 @pytest.fixture
 def two_spin_ising():
     """2-spin +-1 chain, w = 0.15, no field: U in {+0.3, -0.3}."""

@@ -24,7 +24,7 @@ from drexel.energies import (
 from drexel.errors import DomainError
 from drexel.oracle import enumerate_target, exact_single_kernel
 
-from conftest import gradient_matches_fd
+from conftest import gradient_matches_fd, random_coupling
 from test_golden import trace_digest
 
 
@@ -172,6 +172,33 @@ class TestIsingLattice:
         model = make_ising_chain(3, 0.15, np.zeros(3))
         assert np.array_equal(model.J, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
+    def test_torus_energy_equals_the_dense_product_bit_for_bit(self):
+        """On the 0/1 32^2 torus the neighbour sum is X @ J exactly, at K = 4."""
+        model = make_ising_lattice(32, 0.15, np.linspace(-0.5, 0.5, 1024), periodic=True)
+        xs = model.domain.value_table[np.random.default_rng(6).integers(0, 2, size=(4, 1024))]
+        XJ = xs @ model.J
+        u, g = model.value_and_grad_batch(xs)
+        assert np.array_equal(u, model.w * np.vecdot(xs, XJ) + np.vecdot(xs, model.b))
+        assert np.array_equal(g, 2.0 * model.w * XJ + model.b)
+
+
+@pytest.mark.parametrize(
+    "J",
+    [np.zeros((3, 3)), make_ising_chain(5, 0.15, np.zeros(5)).J, random_coupling(40, 0.1, 7), np.diag([1.0, 0.0, 2.0])],
+    ids=["empty", "chain", "random", "diagonal"],
+)
+def test_neighbour_table_holds_the_non_zeros_of_J(J):
+    """Scattering the table back gives J; each site's neighbours come in index order, padding has weight 0."""
+    model = QuadraticEnergy(domain=DomainSpec.spin_pm1(J.shape[0]), J=J, b=np.zeros(J.shape[0]))
+    assert model.nbr.shape == model.wts.shape == (int((J != 0).sum(axis=1).max()), J.shape[0])
+    rebuilt = np.zeros_like(J)
+    np.add.at(rebuilt, (np.broadcast_to(np.arange(J.shape[0]), model.nbr.shape), model.nbr), model.wts)
+    assert np.array_equal(rebuilt, J)
+    for d in range(J.shape[0]):
+        real = model.wts[:, d] != 0
+        assert np.array_equal(model.nbr[real, d], np.flatnonzero(J[d]))
+        assert np.array_equal(real, np.arange(real.size) < real.sum())  # padding only after the neighbours
+
 
 def _value_and_grad_models():
     rng = np.random.default_rng(17)
@@ -209,6 +236,8 @@ def test_value_and_grad_is_value_and_gradient_bit_for_bit(model):
 def _row_invariant_models():
     rng = np.random.default_rng(19)
     yield make_ising_lattice(3, 0.15, np.full(9, 0.1), True)  # 0/1 couplings: J x is exact
+    for n, density in ((12, 1.0), (200, 0.02)):  # real couplings, dense and sparse
+        yield QuadraticEnergy(domain=DomainSpec.spin_pm1(n), J=random_coupling(n, density, n), b=rng.normal(size=n), w=0.7)
     for m, d in ((4, 6), (40, 64)):
         yield RbmFreeEnergy(
             domain=DomainSpec.binary01(d), W=rng.normal(size=(m, d)), c=rng.normal(size=m), b=rng.normal(size=d)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drexel import ChainParams, SwapConfig, make_ising_chain
+from drexel import ChainParams, SwapConfig, make_ising_chain, make_ising_lattice
 from drexel.domains import DomainSpec, embed_all, state_index
 from drexel.energies import QuadraticEnergy, RbmFreeEnergy
 from drexel.errors import CapacityError, DomainError, PreconditionError, UnsupportedModelError
@@ -23,17 +23,22 @@ from drexel.oracle import (
     _swap_prob_grid,
     balanced_joint_kernel,
     block_gibbs_rbm_step,
+    colour_classes,
     detailed_balance_check,
     enumerate_target,
     exact_joint_kernel,
     exact_single_kernel,
+    heat_bath_sweep,
     intermediate_pair_pmf,
     proposal_normalizers,
     spectral_tv_bound_check,
     tempered_pair_pmf,
 )
-from drexel.rng import SALT_LOW, substream
+from drexel.rng import SALT_LOW, SALT_REFERENCE, substream
 from drexel.sampler import swap_probability
+
+from conftest import random_coupling
+from test_sampler import binomial_pvalues
 
 
 class TestEnumerateTarget:
@@ -365,3 +370,102 @@ class TestBlockGibbs:
         bad = RbmFreeEnergy(domain=DomainSpec.spin_pm1(2), W=np.zeros((2, 2)), c=np.zeros(2), b=np.zeros(2))
         with pytest.raises(DomainError):
             block_gibbs_rbm_step(bad, np.array([0, 1]), rng)
+
+
+def _spin_model(J):
+    return QuadraticEnergy(domain=DomainSpec.spin_pm1(J.shape[0]), J=J, b=np.zeros(J.shape[0]), w=0.15)
+
+
+class TestColourClasses:
+    @pytest.mark.parametrize(
+        "model, classes",
+        [
+            (make_ising_lattice(32, 0.15, np.zeros(1024), periodic=True), 2),
+            # a 3-colouring of the odd tori exists, but greedy in index order
+            # finds none: on 3^2, sites 2, 3 and 4 take colours 2, 1 and 0,
+            # all three neighbours of site 5
+            (make_ising_lattice(5, 0.15, np.zeros(25), periodic=True), 4),
+            (make_ising_lattice(3, 0.15, np.zeros(9), periodic=True), 4),
+            (make_ising_lattice(4, 0.15, np.zeros(16), periodic=False), 2),
+            (make_ising_chain(7, 0.15, np.zeros(7)), 2),
+            (_spin_model(random_coupling(60, 0.08, 3)), None),
+        ],
+        ids=["torus32", "torus5", "torus3", "open4", "chain7", "random60"],
+    )
+    def test_proper_colouring(self, model, classes):
+        """Every site in exactly one class, ascending; no coupling inside a class; at most max degree + 1 classes."""
+        found = colour_classes(model)
+        assert np.array_equal(np.sort(np.concatenate(found)), np.arange(model.domain.dim))
+        for sites in found:
+            assert np.all(np.diff(sites) > 0)
+            assert not model.J[np.ix_(sites, sites)].any()
+        assert len(found) <= int((model.J != 0).sum(axis=1).max()) + 1
+        if classes is not None:
+            assert len(found) == classes
+
+    def test_needs_spins_with_a_zero_diagonal(self, small_rbm):
+        with pytest.raises(DomainError):
+            colour_classes(_spin_model(np.diag([0.0, 1.0, 0.0])))
+        with pytest.raises(DomainError):
+            colour_classes(QuadraticEnergy(domain=DomainSpec.binary01(2), J=np.zeros((2, 2)), b=np.zeros(2)))
+        with pytest.raises(UnsupportedModelError):
+            colour_classes(small_rbm)
+
+
+# 4 x 4 torus at w = 0.15 with a non-uniform field: the heat-bath reference's target
+HEAT_BATH_FIELD = np.linspace(-0.4, 0.4, 16)
+HEAT_BATH_CHAINS, HEAT_BATH_SWEEPS = 10_000, 40
+
+
+def heat_bath_pvalue(model, seed):
+    """Bonferroni p-value over 16 sites and 32 edges of "the final states of independent heat-bath chains follow pi".
+
+    Each of HEAT_BATH_CHAINS chains starts from uniform spins and runs
+    HEAT_BATH_SWEEPS sweeps of model's heat-bath, far past mixing at this
+    coupling (with 10^5 chains, 5 sweeps already show no bias).  A site's
+    +1 count is then Binomial(chains, (1 + E[x_d]) / 2), and an edge's count
+    of equal spins Binomial(chains, (1 + E[x_i x_j]) / 2), with expectations
+    on the 4 x 4 torus at w = 0.15 by enumeration; each count is tested by
+    its exact tail.  The edges see a sweep that breaks the pair law, such as
+    updating all sites at once, which single-site marginals alone miss.
+    """
+    target = make_ising_lattice(4, 0.15, HEAT_BATH_FIELD, periodic=True)
+    i, j = np.nonzero(np.triu(target.J))
+    emb = embed_all(target.domain)
+    features = np.hstack([emb, emb[:, i] * emb[:, j]])
+    expected = enumerate_target(target).p @ features
+    rng = substream(seed, SALT_REFERENCE)
+    spins = np.where(rng.random((HEAT_BATH_CHAINS, 16)) < 0.5, 1.0, -1.0)
+    classes = colour_classes(model)
+    for _ in range(HEAT_BATH_SWEEPS):
+        spins = heat_bath_sweep(model, classes, spins, rng)
+    counts = (np.hstack([spins, spins[:, i] * spins[:, j]]) > 0).sum(axis=0)[None, :]
+    pvalues = binomial_pvalues(counts, np.array([HEAT_BATH_CHAINS]), (1.0 + expected)[None, :] / 2.0)
+    return min(1.0, float(pvalues.min()) * pvalues.size)
+
+
+class TestHeatBath:
+    def test_site_and_edge_laws_match_enumeration(self):
+        """Family-wise false-alarm rate 1e-3; the seed was fixed before the first run."""
+        assert heat_bath_pvalue(make_ising_lattice(4, 0.15, HEAT_BATH_FIELD, periodic=True), seed=1) >= 1e-3
+
+    @pytest.mark.parametrize(
+        "w, field",
+        [(0.3, HEAT_BATH_FIELD), (0.075, HEAT_BATH_FIELD / 2)],
+        ids=["coupling-doubled", "sigmoid-g-conditional"],
+    )
+    def test_statistic_rejects_a_perturbed_conditional(self, w, field):
+        """Power: a doubled coupling, or sigmoid(g) in place of sigmoid(2 g) (half of w and b), is rejected."""
+        assert heat_bath_pvalue(make_ising_lattice(4, w, field, periodic=True), seed=1) < 1e-3
+
+    def test_strong_field_pins_the_spins(self):
+        """With |b| = 40 every conditional is 0 or 1 to double precision: the sweep sets each spin to sign(b).
+
+        The spins passed in are left as they were.
+        """
+        b = np.where(np.arange(16) % 3 == 0, -40.0, 40.0)
+        model = make_ising_lattice(4, 0.15, b, periodic=True)
+        start = np.ones((3, 16))
+        out = heat_bath_sweep(model, colour_classes(model), start, substream(2, SALT_REFERENCE))
+        assert np.array_equal(out, np.broadcast_to(np.sign(b), (3, 16)))
+        assert np.array_equal(start, np.ones((3, 16)))

@@ -297,6 +297,19 @@ class TestReplica:
             trace = run_sampler(two_spin_ising, cfg)
         assert trace.swap_successes == trace.iterations
 
+    @pytest.mark.parametrize("entry", ["run_sampler", "run_batch"])
+    def test_misordered_pair_warning_names_the_callers_line(self, two_spin_ising, entry):
+        """The replica-pair warning points at this file, whichever public function started the run."""
+        cfg = RunConfig(
+            sampler="drexel", iterations=2, seed=4, alpha=0.3, tau=2.0, alpha_high=0.3, tau_high=1.0, rho=1.0
+        )
+        with pytest.warns(UserWarning, match="replica pair expects") as record:
+            if entry == "run_sampler":
+                run_sampler(two_spin_ising, cfg)
+            else:
+                run_batch(two_spin_ising, [cfg])
+        assert [w.filename for w in record] == [__file__]
+
     def test_prev_energy_cache_consistency(self, two_spin_ising):
         """The carried energy, gradient and table equal a fresh evaluation after every step and swap test."""
 
