@@ -236,8 +236,9 @@ def test_value_and_grad_is_value_and_gradient_bit_for_bit(model):
 def _row_invariant_models():
     rng = np.random.default_rng(19)
     yield make_ising_lattice(3, 0.15, np.full(9, 0.1), True)  # 0/1 couplings: J x is exact
-    for n, density in ((12, 1.0), (200, 0.02)):  # real couplings, dense and sparse
-        yield QuadraticEnergy(domain=DomainSpec.spin_pm1(n), J=random_coupling(n, density, n), b=rng.normal(size=n), w=0.7)
+    for n, density, kind in ((12, 1.0, "dense"), (200, 0.02, "sparse")):  # real couplings
+        model = QuadraticEnergy(domain=DomainSpec.spin_pm1(n), J=random_coupling(n, density, n), b=rng.normal(size=n), w=0.7)
+        yield pytest.param(model, id=f"QuadraticEnergy-{kind}")
     for m, d in ((4, 6), (40, 64)):
         yield RbmFreeEnergy(
             domain=DomainSpec.binary01(d), W=rng.normal(size=(m, d)), c=rng.normal(size=m), b=rng.normal(size=d)
