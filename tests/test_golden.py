@@ -234,6 +234,32 @@ def test_two_threads_write_the_same_bytes(kind, tmp_path, monkeypatch):
     assert artifacts_digest(out) == WHOLE_RUN_GOLDEN[kind]
 
 
+RBM_TRAIN_CONFIG = """
+kind = rbm-train
+visible = 16
+hidden = 8
+cd_k = 2
+learning_rate = 0.01
+train_iterations = 50
+batch_size = 64
+modes = 2
+per_mode = 100
+flip_prob = 0.05
+seed = 53
+"""
+
+RBM_TRAIN_GOLDEN = "85ee1c0c0db752d19df9aaec46eeb1f325ae647a32907b076134b88ad7957fab"
+
+
+def test_rbm_train_hash(tmp_path, monkeypatch):
+    """CD-2 training end to end: the weights file, train_loss.csv and meta.txt."""
+    monkeypatch.chdir(tmp_path)  # a relative out keeps the weights path in meta.txt free of tmp_path
+    run_experiment(parse_config(RBM_TRAIN_CONFIG), out="out")
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["meta.txt", "rbm_weights.bin", "train_loss.csv"]
+    assert artifacts_digest(out) == RBM_TRAIN_GOLDEN
+
+
 ORACLE_CHECK_CONFIG = """
 kind = oracle-check
 spins = {spins}
