@@ -87,6 +87,12 @@ def state_index(state: np.ndarray, domain: DomainSpec) -> int:
     return idx
 
 
+def flat_index(states: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    """state_index of every row of a (K, dim) array of in-range index vectors, in one product."""
+    weights = domain.levels ** np.arange(domain.dim - 1, -1, -1, dtype=np.int64)
+    return np.asarray(states, dtype=np.int64) @ weights
+
+
 def index_state(index: int, domain: DomainSpec) -> np.ndarray:
     """Inverse of state_index."""
     if not 0 <= index < domain.num_states:

@@ -5,7 +5,6 @@ maxima of U.  Every gradient here is hand-derived; the test suite checks
 each one against central finite differences.
 """
 
-import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -149,14 +148,16 @@ class RbmFreeEnergy(EnergyModel):
         """P(v_d = 1 | h), vectorized over rows when h is 2-d."""
         return _sigmoid(h @ self.W + self.b)
 
+    def block_gibbs(self, v, rng):
+        """One block-Gibbs sweep over the rows of v: sample hidden given visible, then visible given hidden."""
+        h = (rng.random((v.shape[0], self.hidden)) < self.hidden_means(v)).astype(float)
+        return (rng.random(v.shape) < self.visible_means(h)).astype(float)
+
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic: exp(-|z|) is the only exponential, and it never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 _EIGHT_CENTERS = np.array(
@@ -288,39 +289,3 @@ def make_ising_chain(n: int, w: float, b: np.ndarray) -> QuadraticEnergy:
     for i in range(n - 1):
         J[i, i + 1] = J[i + 1, i] = 1.0
     return QuadraticEnergy(domain=DomainSpec.spin_pm1(n), J=J, b=b, w=w)
-
-
-_MAGIC_ENERGY = b"DREXENER"
-
-
-def save_rbm_params(path, W: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
-    """Write RBM parameters: magic, u32 (m, d) little-endian, then W, c, b as f64."""
-    W = np.asarray(W, dtype="<f8")
-    c = np.asarray(c, dtype="<f8")
-    b = np.asarray(b, dtype="<f8")
-    m, d = W.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_ENERGY)
-        fh.write(struct.pack("<II", m, d))
-        fh.write(W.tobytes(order="C"))
-        fh.write(c.tobytes())
-        fh.write(b.tobytes())
-
-
-def load_rbm_params(path):
-    """Read back save_rbm_params output; validates magic and payload size."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _MAGIC_ENERGY:
-        raise DomainError(f"bad magic {blob[:8]!r}, expected {_MAGIC_ENERGY!r}")
-    if len(blob) < 16:
-        raise DomainError("truncated header")
-    m, d = struct.unpack("<II", blob[8:16])
-    expected = 16 + 8 * (m * d + m + d)
-    if len(blob) != expected:
-        raise DomainError(f"payload is {len(blob)} bytes, header implies {expected}")
-    body = np.frombuffer(blob, dtype="<f8", offset=16)
-    W = body[: m * d].reshape(m, d).copy()
-    c = body[m * d : m * d + m].copy()
-    b = body[m * d + m :].copy()
-    return W, c, b

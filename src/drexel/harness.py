@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .domains import DomainSpec, embed_all
+from .domains import DomainSpec, embed_all, flat_index
 from .energies import make_ising_chain, make_ising_lattice, make_synthetic
 from .errors import ConfigError, DomainError
 from .metrics import (
@@ -66,6 +66,11 @@ def repeat_seed(base_seed: int, repeat_index: int) -> int:
 
 
 def _write_pgm(weights: np.ndarray, domain: DomainSpec, path) -> None:
+    """Write a P5 graymap of weights over a 2-d grid, row 0 at the top of the y-axis.
+
+    Intensity is weights scaled so the largest is 255.  All-zero weights
+    (an empty histogram) produce an all-black image, with a warning.
+    """
     if domain.dim != 2:
         raise DomainError("heatmaps need a 2-d grid")
     n = domain.levels
@@ -80,15 +85,6 @@ def _write_pgm(weights: np.ndarray, domain: DomainSpec, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
         fh.write(img.tobytes(order="C"))
-
-
-def emit_heatmap(hist: EmpiricalHist, domain: DomainSpec, path) -> None:
-    """Write a P5 graymap of a 2-d grid histogram, row 0 at the top of the y-axis.
-
-    Intensity is counts scaled so the fullest bin is 255.  An empty histogram
-    produces an all-black image (with a warning).
-    """
-    _write_pgm(hist.counts, domain, path)
 
 
 def _build_model(config: ExperimentConfig):
@@ -173,12 +169,10 @@ def _chain_metrics(trace, metrics: dict) -> dict:
 def _synthetic_metrics(model, truth, truth_features, rff, trace):
     hist = EmpiricalHist.from_states(trace.states, model.domain)
     chain_embedded = model.domain.value_table[trace.states.astype(np.int64)]
-    weights = model.domain.levels ** np.arange(model.domain.dim - 1, -1, -1, dtype=np.int64)
-    flat = trace.states.astype(np.int64) @ weights
     metrics = {
         "kl": kl_divergence(truth, hist),
         "mmd": mmd_rff(None, chain_embedded, rff, mean_x=truth_features),
-        "nll": nll(truth, flat),
+        "nll": nll(truth, flat_index(trace.states, model.domain)),
         "jump_rate": jump_rate(trace, model.domain),
     }
     return _chain_metrics(trace, metrics), hist
@@ -306,11 +300,7 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
     _write_meta(out, config, seeds, extra)
 
     if config.kind == "synthetic" and config.heatmap:
-        emit_heatmap(
-            EmpiricalHist(counts=pooled_hist, total=int(pooled_hist.sum())),
-            model.domain,
-            os.path.join(out, "empirical.pgm"),
-        )
+        _write_pgm(pooled_hist, model.domain, os.path.join(out, "empirical.pgm"))
         _write_pgm(truth.p, model.domain, os.path.join(out, "target.pgm"))  # the exact pmf, rendered alike
 
     summary = {}

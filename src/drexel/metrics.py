@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainSpec
+from .domains import DomainSpec, flat_index
 from .errors import DomainError
 from .oracle import Pmf
 
@@ -28,10 +28,7 @@ class EmpiricalHist:
     @staticmethod
     def from_states(states: np.ndarray, domain: DomainSpec) -> "EmpiricalHist":
         """Bin index-vector rows by their flat state index."""
-        states = np.asarray(states, dtype=np.int64)
-        weights = domain.levels ** np.arange(domain.dim - 1, -1, -1, dtype=np.int64)
-        flat = states @ weights
-        counts = np.bincount(flat, minlength=domain.num_states)
+        counts = np.bincount(flat_index(states, domain), minlength=domain.num_states)
         return EmpiricalHist(counts=counts, total=int(counts.sum()))
 
 

@@ -16,14 +16,13 @@ is the faithful kernel of the sampler as it actually runs.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .domains import BINARY01, SPIN_PM1, DomainSpec, all_states, embed_all
+from .domains import BINARY01, SPIN_PM1, all_states, embed_all
 from .energies import EnergyModel, QuadraticEnergy, _sigmoid
-from .errors import CapacityError, DomainError, PreconditionError, UnsupportedModelError
-from .sampler import ChainParams, SwapConfig, _all_logits, _log_softmax, _swap_probs
+from .errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
+from .sampler import ChainParams, SwapConfig, _Kernel, _swap_probs
 
 KERNEL_CAPACITY = 4096
 SPECTRAL_CAPACITY = 256
@@ -34,10 +33,11 @@ class Pmf:
     """Exact probabilities over enumerated states (state_index order)."""
 
     p: np.ndarray
-    domain: Optional[DomainSpec] = None
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
+        if not np.isfinite(p).all():
+            raise NumericError("pmf entries must be finite")
         if p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
             raise DomainError("pmf entries must be nonnegative and sum to 1")
         p.setflags(write=False)
@@ -54,6 +54,8 @@ class Kernel:
         k = np.asarray(self.matrix, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise DomainError(f"kernel must be square, got shape {k.shape}")
+        if not np.isfinite(k).all():
+            raise NumericError("kernel entries must be finite")
         if k.min() < 0 or np.abs(k.sum(axis=1) - 1.0).max() > 1e-10:
             raise DomainError("kernel rows must be nonnegative and sum to 1")
         k.setflags(write=False)
@@ -67,41 +69,31 @@ def enumerate_target(model: EnergyModel, tau: float = 1.0, capacity: int = 1 << 
     logit -= logit.max()
     p = np.exp(logit)
     p /= p.sum()
-    return Pmf(p=p, domain=model.domain)
-
-
-def _proposal_matrix(model: EnergyModel, params: ChainParams, capacity: int = KERNEL_CAPACITY):
-    """Exact factorized proposal over all states, plus per-state log-normalizers."""
-    domain = model.domain
-    n = domain.num_states
-    if n > capacity:
-        raise CapacityError(f"{n} states exceeds kernel capacity {capacity}")
-    states = all_states(domain)
-    Q = np.empty((n, n))
-    log_z = np.empty(n)
-    for i in range(n):
-        logits = _all_logits(model, states[i], params)
-        m = logits.max(axis=1)
-        log_z[i] = float((m + np.log(np.exp(logits - m[:, None]).sum(axis=1))).sum())
-        probs = np.exp(_log_softmax(logits))
-        row = probs[0]
-        for d in range(1, domain.dim):
-            row = np.kron(row, probs[d])
-        Q[i] = row
-    return Q, log_z
+    return Pmf(p=p)
 
 
 def exact_single_kernel(model: EnergyModel, params: ChainParams) -> Kernel:
     """One chain's exact transition matrix, Metropolis-composed when params.mh_enabled.
 
+    Row x is the product over coordinates of the sampler's own proposal
+    table at x (`_Kernel.evaluate`), read at each target state's value, so a
+    non-finite energy or gradient raises the sampler's NumericError.
     Rejected mass goes to the diagonal.  The accept probability is computed
     as min(q_fwd, ratio * q_rev) entry-wise so detailed balance of the
     composed kernel holds to machine precision.
     """
-    Q, _ = _proposal_matrix(model, params)
+    n = model.domain.num_states
+    if n > KERNEL_CAPACITY:
+        raise CapacityError(f"{n} states exceeds kernel capacity {KERNEL_CAPACITY}")
+    states = all_states(model.domain)
+    chains = _Kernel(model, [params] * n).evaluate(states)
+    probs = np.exp(chains.logp)
+    Q = probs[:, 0, states[:, 0]]
+    for d in range(1, model.domain.dim):
+        Q *= probs[:, d, states[:, d]]
     if not params.mh_enabled:
         return Kernel(matrix=Q)
-    u = model.value_batch(embed_all(model.domain))
+    u = chains.energy
     ratio = np.exp((u[None, :] - u[:, None]) / params.tau)  # pi(y)/pi(x), tempered
     K = np.minimum(Q, ratio * Q.T)
     np.fill_diagonal(K, 0.0)
@@ -115,6 +107,12 @@ def _require_quadratic(model) -> QuadraticEnergy:
     return model
 
 
+def _quad_distances(xs: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """(x_j - x_i)^T M (x_j - x_i) over row pairs i, j of xs: diag(G)_i + diag(G)_j - 2 G, G = xs M xs^T."""
+    G = xs @ M @ xs.T
+    return np.diag(G)[:, None] + np.diag(G)[None, :] - 2 * G
+
+
 def _normalizer_exponents(model: EnergyModel, params: ChainParams, capacity: int) -> np.ndarray:
     """(n, n) exponents (U(x) - U(theta)) / (2 tau) - (x - theta)^T M (x - theta) / 2, row theta, column x."""
     model = _require_quadratic(model)
@@ -124,9 +122,7 @@ def _normalizer_exponents(model: EnergyModel, params: ChainParams, capacity: int
     xs = embed_all(model.domain)
     u = model.value_batch(xs)
     M = np.eye(model.domain.dim) / params.alpha + (model.w / params.tau) * model.J
-    G = xs @ M @ xs.T
-    quad = np.diag(G)[:, None] + np.diag(G)[None, :] - 2 * G  # (x_j - x_i)^T M (x_j - x_i)
-    return (u[None, :] - u[:, None]) / (2.0 * params.tau) - 0.5 * quad
+    return (u[None, :] - u[:, None]) / (2.0 * params.tau) - 0.5 * _quad_distances(xs, M)
 
 
 def proposal_normalizers(model: EnergyModel, params: ChainParams, capacity: int = KERNEL_CAPACITY) -> np.ndarray:
@@ -205,17 +201,20 @@ def tempered_pair_pmf(model, params_low, params_high, capacity: int = 1 << 20) -
     return Pmf(p=np.outer(p1, p2).ravel())
 
 
-def _pair_swap_permutation(n: int) -> np.ndarray:
-    idx = np.arange(n * n).reshape(n, n)
-    return idx.T.ravel()
+def _joint_from_branches(q1: np.ndarray, q2: np.ndarray, s: np.ndarray) -> Kernel:
+    """Mix the no-swap product branch with the state-exchanging branch.
 
-
-def _joint_from_branches(q1, q2, s_noswap, s_swap):
-    """Mix the no-swap product branch with the state-exchanging branch."""
+    s is the swap probability over previous pairs (x1, x2) and pre-swap
+    proposals (w1, w2), shape (n, n, n, n).  Landing on (y1, y2) happens
+    either with proposals (y1, y2) and no swap, or with proposals (y2, y1)
+    and a swap; each branch reads s at its own proposals.
+    """
     n = q1.shape[0]
     prod = np.kron(q1, q2)
-    perm = _pair_swap_permutation(n)
-    return (1.0 - s_noswap) * prod + s_swap * prod[:, perm]
+    exchanged = prod.reshape(n * n, n, n).transpose(0, 2, 1).reshape(n * n, n * n)
+    s_noswap = s.reshape(n * n, n * n)
+    s_swap = s.transpose(0, 1, 3, 2).reshape(n * n, n * n)
+    return Kernel(matrix=(1.0 - s_noswap) * prod + s_swap * exchanged)
 
 
 def _swap_prob_grid(swap: SwapConfig, t1: float, t2: float, u: np.ndarray) -> np.ndarray:
@@ -233,12 +232,9 @@ def exact_joint_kernel(
 ) -> Kernel:
     """Exact one-iteration replica kernel over state pairs, as the sampler runs it.
 
-    Each chain is Metropolis-adjusted when its params have mh_enabled.
-
-    Landing on pair (y1, y2) happens either with proposals (y1, y2) and a
-    failed swap test, or with proposals (y2, y1) and a successful one; each
-    branch's swap probability is evaluated on its own pre-swap proposals
-    together with the previous states.
+    Each chain is Metropolis-adjusted when its params have mh_enabled.  The
+    swap probability of each branch is evaluated on its own pre-swap
+    proposals together with the previous states.
     """
     n = model.domain.num_states
     if n * n > KERNEL_CAPACITY:
@@ -246,10 +242,7 @@ def exact_joint_kernel(
     q1 = exact_single_kernel(model, params_low).matrix
     q2 = exact_single_kernel(model, params_high).matrix
     u = model.value_batch(embed_all(model.domain))
-    s = _swap_prob_grid(swap, params_low.tau, params_high.tau, u)
-    s_noswap = s.reshape(n * n, n * n)
-    s_swap = s.transpose(0, 1, 3, 2).reshape(n * n, n * n)  # proposals were (y2, y1)
-    return Kernel(matrix=_joint_from_branches(q1, q2, s_noswap, s_swap))
+    return _joint_from_branches(q1, q2, _swap_prob_grid(swap, params_low.tau, params_high.tau, u))
 
 
 def balanced_joint_kernel(
@@ -287,8 +280,7 @@ def balanced_joint_kernel(
     u = model.value_batch(xs)
     beta = 1.0 / t2 - 1.0 / t1
     N = (1.0 / a1 - 1.0 / a2) * np.eye(model.domain.dim) + (1.0 / t1 - 1.0 / t2) * model.w * model.J
-    G = xs @ N @ xs.T
-    quad = np.diag(G)[:, None] + np.diag(G)[None, :] - 2 * G  # (x_j - x_i)^T N (x_j - x_i)
+    quad = _quad_distances(xs, N)
     e1 = 0.5 * beta * (u[:, None] + u[None, :])  # [x, w] -> beta (U(x) + U(w)) / 2
     sigma = (
         e1[:, None, :, None]
@@ -296,10 +288,7 @@ def balanced_joint_kernel(
         + 0.5 * quad[:, None, :, None]
         - 0.5 * quad[None, :, None, :]
     )
-    s = rho * np.minimum(1.0, np.exp(sigma))
-    s_noswap = s.reshape(n * n, n * n)
-    s_swap = s.transpose(0, 1, 3, 2).reshape(n * n, n * n)
-    return Kernel(matrix=_joint_from_branches(q1, q2, s_noswap, s_swap))
+    return _joint_from_branches(q1, q2, rho * np.minimum(1.0, np.exp(sigma)))
 
 
 def detailed_balance_check(kernel: Kernel, pmf: Pmf) -> float:
@@ -376,9 +365,7 @@ def block_gibbs_rbm_step(rbm, visible: np.ndarray, rng: np.random.Generator) -> 
     if rbm.domain.kind != BINARY01:
         raise DomainError("block Gibbs runs on binary01 visible units")
     v = rbm.domain.validate_state(visible).astype(float)
-    h = (rng.random(rbm.hidden) < _sigmoid(rbm.W @ v + rbm.c)).astype(float)
-    v_new = rng.random(rbm.domain.dim) < _sigmoid(rbm.W.T @ h + rbm.b)
-    return v_new.astype(np.int64)
+    return rbm.block_gibbs(v[None, :], rng)[0].astype(np.int64)
 
 
 def colour_classes(model: QuadraticEnergy) -> list:

@@ -1,7 +1,8 @@
-"""RBM training: contrastive divergence with an adaptive-moment optimizer.
+"""RBM training and the binary files of RBM weights and datasets.
 
-Plain CD (negative chains restart at the data every update), gradient ascent
-on the log-likelihood.  Training is seed-deterministic end to end.
+Plain CD with an adaptive-moment optimizer (negative chains restart at the
+data every update), gradient ascent on the log-likelihood.  Training is
+seed-deterministic end to end.
 """
 
 import struct
@@ -10,9 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainSpec, embed_all
-from .energies import RbmFreeEnergy, load_rbm_params, save_rbm_params
+from .energies import RbmFreeEnergy
 from .errors import DomainError
 from .rng import SALT_DATA, substream
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -23,9 +28,6 @@ class RbmTrainConfig:
     iterations: int = 1000
     batch_size: int = 128
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.hidden < 1 or self.cd_k < 1 or self.iterations < 0 or self.batch_size < 1:
@@ -71,19 +73,13 @@ def synth_bernoulli_mixture(dim: int, modes: int, per_mode: int, flip_prob: floa
     return BinaryDataset(rows=np.where(flips, 1 - rows, rows))
 
 
-def _gibbs_negative_phase(rbm: RbmFreeEnergy, batch: np.ndarray, k: int, rng: np.random.Generator):
-    """k block-Gibbs sweeps started at the batch; returns final visible samples."""
-    v = batch.astype(float)
-    for _ in range(k):
-        h = (rng.random((v.shape[0], rbm.hidden)) < rbm.hidden_means(v)).astype(float)
-        v = (rng.random(v.shape) < rbm.visible_means(h)).astype(float)
-    return v
-
-
 def _cd_terms(rbm: RbmFreeEnergy, batch: np.ndarray, k: int, rng: np.random.Generator):
+    """The CD-k ascent direction and the negative samples: k block-Gibbs sweeps started at the batch."""
     n = batch.shape[0]
     h_data = rbm.hidden_means(batch)
-    v_model = batch if k == 0 else _gibbs_negative_phase(rbm, batch, k, rng)
+    v_model = batch
+    for _ in range(k):
+        v_model = rbm.block_gibbs(v_model, rng)
     h_model = rbm.hidden_means(v_model)
     dW = (h_data.T @ batch - h_model.T @ v_model) / n
     dc = h_data.mean(axis=0) - h_model.mean(axis=0)
@@ -142,45 +138,60 @@ def train_rbm(dataset: BinaryDataset, config: RbmTrainConfig):
         t = it + 1
         params = [W, c, b]
         for j in range(3):
-            mom[j] = config.beta1 * mom[j] + (1 - config.beta1) * grads[j]
-            vel[j] = config.beta2 * vel[j] + (1 - config.beta2) * grads[j] ** 2
-            m_hat = mom[j] / (1 - config.beta1**t)
-            v_hat = vel[j] / (1 - config.beta2**t)
-            params[j] = params[j] + config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            mom[j] = ADAM_BETA1 * mom[j] + (1 - ADAM_BETA1) * grads[j]
+            vel[j] = ADAM_BETA2 * vel[j] + (1 - ADAM_BETA2) * grads[j] ** 2
+            m_hat = mom[j] / (1 - ADAM_BETA1**t)
+            v_hat = vel[j] / (1 - ADAM_BETA2**t)
+            params[j] = params[j] + config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         W, c, b = params
     return RbmFreeEnergy(domain=dom, W=W, c=c, b=b), losses
 
 
+_MAGIC_ENERGY = b"DREXENER"
+_MAGIC_DATA = b"DREXDATA"
+
+
+def _write_blob(path, magic: bytes, shape, *arrays) -> None:
+    """magic, the two sizes of shape as little-endian u32, then each array's bytes in C order."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<II", *shape))
+        for a in arrays:
+            fh.write(a.tobytes(order="C"))
+
+
+def _read_blob(path, magic: bytes, payload_bytes):
+    """(m, d, payload view) of a _write_blob file; checks the magic, the header and a payload_bytes(m, d) payload."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:8] != magic:
+        raise DomainError(f"bad magic {blob[:8]!r}, expected {magic!r}")
+    if len(blob) < 16:
+        raise DomainError("truncated header")
+    m, d = struct.unpack("<II", blob[8:16])
+    expected = payload_bytes(m, d)
+    if len(blob) - 16 != expected:
+        raise DomainError(f"payload is {len(blob) - 16} bytes, header implies {expected}")
+    return m, d, memoryview(blob)[16:]
+
+
 def save_rbm(model: RbmFreeEnergy, path) -> None:
-    """Bit-exact round-trip persistence of (W, c, b)."""
-    save_rbm_params(path, model.W, model.c, model.b)
+    """Bit-exact round-trip persistence: magic, u32 (m, d), then W, c, b as little-endian f64."""
+    W, c, b = (np.asarray(a, dtype="<f8") for a in (model.W, model.c, model.b))
+    _write_blob(path, _MAGIC_ENERGY, W.shape, W, c, b)
 
 
 def load_rbm(path) -> RbmFreeEnergy:
-    W, c, b = load_rbm_params(path)
-    return RbmFreeEnergy(domain=DomainSpec.binary01(W.shape[1]), W=W, c=c, b=b)
-
-
-_MAGIC_DATA = b"DREXDATA"
+    m, d, payload = _read_blob(path, _MAGIC_ENERGY, lambda m, d: 8 * (m * d + m + d))
+    body = np.frombuffer(payload, dtype="<f8")
+    W, c, b = body[: m * d].reshape(m, d), body[m * d : m * d + m], body[m * d + m :]
+    return RbmFreeEnergy(domain=DomainSpec.binary01(d), W=W, c=c, b=b)
 
 
 def save_dataset(dataset: BinaryDataset, path) -> None:
     """Write rows as: magic, u32 rows, u32 dim, then rows*dim bytes of 0/1."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_DATA)
-        fh.write(struct.pack("<II", dataset.size, dataset.dim))
-        fh.write(dataset.rows.astype(np.uint8).tobytes(order="C"))
+    _write_blob(path, _MAGIC_DATA, dataset.rows.shape, dataset.rows.astype(np.uint8))
 
 
 def load_dataset(path) -> BinaryDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _MAGIC_DATA:
-        raise DomainError(f"bad magic {blob[:8]!r}, expected {_MAGIC_DATA!r}")
-    if len(blob) < 16:
-        raise DomainError("truncated header")
-    rows, dim = struct.unpack("<II", blob[8:16])
-    if len(blob) != 16 + rows * dim:
-        raise DomainError(f"payload is {len(blob) - 16} bytes, header implies {rows * dim}")
-    data = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(rows, dim)
-    return BinaryDataset(rows=data.astype(np.int64))
+    rows, dim, payload = _read_blob(path, _MAGIC_DATA, lambda rows, dim: rows * dim)
+    return BinaryDataset(rows=np.frombuffer(payload, dtype=np.uint8).reshape(rows, dim))

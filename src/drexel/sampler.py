@@ -26,7 +26,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -236,19 +236,18 @@ class _Kernel:
 
         draws is (K, dim + 1): each chain's dim proposal uniforms, then its
         Metropolis uniform (read only under the correction).  Returns the
-        retained chains, the proposals, both log-proposals and the accept
-        flags.
+        retained chains and the accept flags.
         """
         dim = chains.states.shape[1]
         new, forward_logq, reverse_logq = self.propose(chains, draws[:, :dim])
         if not self.mh.any():
-            return new, new, forward_logq, reverse_logq, self.always
+            return new, self.always
         log_a = (new.energy - chains.energy) / self.tau + reverse_logq - forward_logq
         accepted = ~self.mh | _accepts(log_a, draws[:, dim])
         if accepted.all():
-            return new, new, forward_logq, reverse_logq, accepted
+            return new, accepted
         kept = _Chains(*(np.where(accepted.reshape((-1,) + (1,) * (a.ndim - 1)), a, b) for a, b in zip(new, chains)))
-        return kept, new, forward_logq, reverse_logq, accepted
+        return kept, accepted
 
     def exchange(self, prev_energy: np.ndarray, chains: _Chains, u: np.ndarray):
         """Each pair's swap test on its own rows, with one uniform per pair.
@@ -368,7 +367,6 @@ class RunTrace:
     seed: int
     thin: int
     wall_clock: float  # seconds of the whole run_batch call that made this trace
-    domain: Optional[DomainSpec] = field(repr=False, default=None)
 
     @property
     def is_replica(self) -> bool:
@@ -430,7 +428,7 @@ def run_batch(model: EnergyModel, configs) -> list:
         chains = kernel.evaluate(np.stack([_draw_init(domain, first, rng) for rng in rngs]))
         for i in range(iters):
             prev_energy = chains.energy
-            chains, _, _, _, accepted[:, i] = kernel.step(chains, kernel.draw(rngs))
+            chains, accepted[:, i] = kernel.step(chains, kernel.draw(rngs))
             if replica:
                 u_swap = np.array([rng.random() for rng in swap_rngs])
                 chains, swapped[:, i] = kernel.exchange(prev_energy, chains, u_swap)
@@ -455,7 +453,6 @@ def run_batch(model: EnergyModel, configs) -> list:
             seed=seed,
             thin=thin,
             wall_clock=wall_clock,
-            domain=domain,
         )
         for r, seed in enumerate(seeds)
     ]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drexel.domains import DomainSpec, all_states, embed, index_state, state_index
+from drexel.domains import DomainSpec, all_states, embed, flat_index, index_state, state_index
 from drexel.errors import CapacityError, DomainError
 
 
@@ -72,6 +72,13 @@ def test_all_states_matches_index_order():
     assert states.shape == (9, 2)
     for i, s in enumerate(states):
         assert state_index(s, dom) == i
+
+
+def test_flat_index_is_state_index_of_each_row():
+    dom = DomainSpec.ordinal_grid(3, levels=5, lo=0.0, hi=1.0)
+    states = np.random.default_rng(4).integers(0, 5, size=(200, 3)).astype(np.int16)
+    assert flat_index(states, dom).tolist() == [state_index(s, dom) for s in states]
+    assert np.array_equal(flat_index(all_states(dom), dom), np.arange(dom.num_states))
 
 
 def test_enumeration_capacity_guard():

@@ -20,6 +20,7 @@ from drexel.energies import (
     QuadraticEnergy,
     RbmFreeEnergy,
     Synthetic2D,
+    _sigmoid,
 )
 from drexel.errors import DomainError
 from drexel.oracle import enumerate_target, exact_single_kernel
@@ -284,3 +285,12 @@ def test_a_model_needs_only_value_and_grad_batch():
     params = ChainParams(alpha=0.3, mh_enabled=True)
     K = exact_single_kernel(model, params).matrix
     assert np.array_equal(K, exact_single_kernel(same, params).matrix)
+
+
+def test_sigmoid_equals_the_two_branch_formula():
+    """The one-exponential sigmoid against 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, NaN included."""
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 710.0, -710.0, 1e-300, -1e-300]
+    z = np.concatenate([edges, np.random.default_rng(9).normal(0.0, 50.0, 10_000)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_branch = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    assert np.array_equal(_sigmoid(z), two_branch, equal_nan=True)

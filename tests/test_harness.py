@@ -11,8 +11,7 @@ import pytest
 from drexel.config import parse_config
 from drexel.domains import DomainSpec
 from drexel.energies import EnergyModel
-from drexel.harness import _write_pgm, emit_heatmap, run_experiment
-from drexel.metrics import EmpiricalHist
+from drexel.harness import _write_pgm, run_experiment
 
 
 def read_pgm(path):
@@ -97,14 +96,14 @@ class TestHeatmaps:
         dom = DomainSpec.ordinal_grid(2, levels=8, lo=-2, hi=2)
         counts = np.zeros(64, dtype=np.int64)
         counts[8 * 2 + 5] = 9  # ix=2, iy=5
-        emit_heatmap(EmpiricalHist(counts=counts, total=9), dom, tmp_path / "one.pgm")
+        _write_pgm(counts, dom, tmp_path / "one.pgm")
         img = read_pgm(tmp_path / "one.pgm")
         assert (img == 255).sum() == 1
         assert img[8 - 1 - 5, 2] == 255  # row 0 is the top of the y-axis
 
     def test_uniform_histogram_constant(self, tmp_path):
         dom = DomainSpec.ordinal_grid(2, levels=4, lo=-2, hi=2)
-        emit_heatmap(EmpiricalHist(counts=np.full(16, 3), total=48), dom, tmp_path / "flat.pgm")
+        _write_pgm(np.full(16, 3), dom, tmp_path / "flat.pgm")
         img = read_pgm(tmp_path / "flat.pgm")
         assert np.all(img == 255)
 

@@ -15,11 +15,10 @@ import pytest
 from drexel import ChainParams, SwapConfig, make_ising_chain, make_ising_lattice
 from drexel.domains import DomainSpec, embed_all, state_index
 from drexel.energies import QuadraticEnergy, RbmFreeEnergy
-from drexel.errors import CapacityError, DomainError, PreconditionError, UnsupportedModelError
+from drexel.errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
 from drexel.oracle import (
     Kernel,
     Pmf,
-    _proposal_matrix,
     _swap_prob_grid,
     balanced_joint_kernel,
     block_gibbs_rbm_step,
@@ -151,11 +150,15 @@ class TestProposalNormalizers:
         assert np.all(spin_values[2] == 1.0)
 
     def test_binomial_identity_with_proposal_softmax(self, three_spin_ising):
-        """Appendix-form normalizer equals the product of softmax denominators."""
+        """Appendix-form normalizer equals the product of softmax denominators.
+
+        The stay logit is 0, so the kernel's stay probability Q(x, x) is the
+        reciprocal of that product.
+        """
         params = ChainParams(alpha=0.37, tau=2.1)
         z = proposal_normalizers(three_spin_ising, params)
-        _, log_z = _proposal_matrix(three_spin_ising, params)
-        assert np.abs(z - np.exp(log_z)).max() <= 1e-12 * z.max()
+        stay = np.diag(exact_single_kernel(three_spin_ising, params).matrix)
+        assert np.abs(z - 1.0 / stay).max() <= 1e-12 * z.max()
 
     def test_non_quadratic_model_rejected(self, small_rbm):
         with pytest.raises(UnsupportedModelError):
@@ -285,6 +288,41 @@ class TestDetailedBalanceCheck:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             detailed_balance_check(Kernel(matrix=np.eye(3)), Pmf(p=np.array([0.5, 0.5])))
+
+
+def _nan_where_first_spin_up(model, which):
+    """model with its energy (which = 0) or gradient (which = 1) NaN at every state whose first spin is +1."""
+
+    class NanAt(QuadraticEnergy):
+        def value_and_grad_batch(self, xs):
+            out = list(super().value_and_grad_batch(xs))
+            up = xs[:, 0] > 0
+            out[which] = np.where(up if which == 0 else up[:, None], np.nan, out[which])
+            return tuple(out)
+
+    return NanAt(domain=model.domain, J=model.J, b=model.b, w=model.w)
+
+
+class TestNonFiniteFailsLoudly:
+    """NaN fails every comparison of a range check, so the checks test finiteness first."""
+
+    def test_kernel_rejects_nan(self):
+        with pytest.raises(NumericError):
+            Kernel(matrix=np.full((2, 2), np.nan))
+
+    def test_pmf_rejects_nan(self):
+        with pytest.raises(NumericError):
+            Pmf(p=np.array([np.nan, np.nan]))
+
+    def test_enumerate_target_on_nan_energy(self, two_spin_ising):
+        with pytest.raises(NumericError):
+            enumerate_target(_nan_where_first_spin_up(two_spin_ising, 0))
+
+    @pytest.mark.parametrize("mh", [False, True])
+    def test_single_kernel_on_nan_gradient(self, two_spin_ising, mh):
+        model = _nan_where_first_spin_up(two_spin_ising, 1)
+        with pytest.raises(NumericError, match="gradient entries not finite"):
+            exact_single_kernel(model, ChainParams(alpha=0.3, mh_enabled=mh))
 
 
 class TestSpectral:

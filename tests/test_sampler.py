@@ -190,7 +190,7 @@ class TestMhAccept:
         state = np.array([0, 1])
         kernel, chains = one_chain(two_spin_ising, state, params)
         for _ in range(50):
-            chains, _, _, _, accepted = kernel.step(chains, kernel.draw((rng,)))
+            chains, accepted = kernel.step(chains, kernel.draw((rng,)))
             assert accepted[0]
             assert np.array_equal(chains.states[0], state)
 
