@@ -211,10 +211,10 @@ def _joint_from_branches(q1: np.ndarray, q2: np.ndarray, s: np.ndarray) -> Kerne
     """
     n = q1.shape[0]
     prod = np.kron(q1, q2)
-    exchanged = prod.reshape(n * n, n, n).transpose(0, 2, 1).reshape(n * n, n * n)
+    exchange = np.arange(n * n).reshape(n, n).T.ravel()  # column (y1, y2) -> (y2, y1)
     s_noswap = s.reshape(n * n, n * n)
     s_swap = s.transpose(0, 1, 3, 2).reshape(n * n, n * n)
-    return Kernel(matrix=(1.0 - s_noswap) * prod + s_swap * exchanged)
+    return Kernel(matrix=(1.0 - s_noswap) * prod + s_swap * prod[:, exchange])
 
 
 def _swap_prob_grid(swap: SwapConfig, t1: float, t2: float, u: np.ndarray) -> np.ndarray:

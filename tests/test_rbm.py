@@ -177,12 +177,12 @@ class TestPersistence:
         with pytest.raises(DomainError, match="header implies"):
             load_rbm(path)
 
-    @pytest.mark.parametrize("magic", [b"DREXENER", b"DREXDATA"])
-    def test_truncated_header(self, tmp_path, magic):
+    @pytest.mark.parametrize("load,magic", [(load_rbm, b"DREXENER"), (load_dataset, b"DREXDATA")])
+    def test_truncated_header(self, tmp_path, load, magic):
         path = tmp_path / "short.bin"
         path.write_bytes(magic + b"\x01\x00\x00")
         with pytest.raises(DomainError, match="truncated header"):
-            (load_rbm if magic == b"DREXENER" else load_dataset)(path)
+            load(path)
 
     def test_dataset_roundtrip(self, tmp_path):
         data = synth_bernoulli_mixture(dim=9, modes=2, per_mode=7, flip_prob=0.2, seed=8)
