@@ -182,7 +182,7 @@ def save_rbm(model: RbmFreeEnergy, path) -> None:
 
 def load_rbm(path) -> RbmFreeEnergy:
     m, d, payload = _read_blob(path, _MAGIC_ENERGY, lambda m, d: 8 * (m * d + m + d))
-    body = np.frombuffer(payload, dtype="<f8").copy()  # views of the copy let the file's bytes go
+    body = np.frombuffer(payload, dtype="<f8").copy()  # one copy, so the model does not hold the file's bytes
     W, c, b = body[: m * d].reshape(m, d), body[m * d : m * d + m], body[m * d + m :]
     return RbmFreeEnergy(domain=DomainSpec.binary01(d), W=W, c=c, b=b)
 
