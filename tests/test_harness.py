@@ -11,7 +11,8 @@ import pytest
 from drexel.config import parse_config
 from drexel.domains import DomainSpec
 from drexel.energies import EnergyModel
-from drexel.harness import _write_pgm, run_experiment
+from drexel.harness import _write_pgm, run_experiment, write_run_csv
+from drexel.sampler import RunTrace
 
 
 def read_pgm(path):
@@ -89,6 +90,51 @@ class TestSyntheticRuns:
         line = (tmp_path / "run_7.csv").read_text().splitlines()[1]
         fields = line.split(",")
         assert fields[2] != "" and fields[4] != ""
+
+
+def hand_trace(replica, iterations=9000):
+    """A RunTrace whose energies cycle through extreme floats, long enough to cross a 4,096-row block."""
+    extremes = np.array([-0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16, -1.5e300])
+    rng = np.random.default_rng(5)
+    energies = rng.normal(size=(2, iterations)) * 10.0 ** rng.integers(-8, 9, size=(2, iterations))
+    energies[:, : 6 * 1400] = np.tile(extremes, 1400)
+    energies[1] = energies[1, ::-1]
+    flags = rng.random((3, iterations)) < 0.5
+    return RunTrace(
+        states=np.zeros((iterations, 2), dtype=np.int16),
+        energy_low=energies[0],
+        energy_high=energies[1] if replica else None,
+        accepted_low=flags[0],
+        accepted_high=flags[1] if replica else None,
+        swapped=flags[2] if replica else None,
+        iterations=iterations,
+        swap_attempts=iterations if replica else 0,
+        swap_successes=int(flags[2].sum()) if replica else 0,
+        seed=1,
+        thin=1,
+        wall_clock=0.0,
+    )
+
+
+@pytest.mark.parametrize("replica", [True, False], ids=["replica", "single"])
+def test_run_csv_renders_floats_as_repr_and_flags_as_digits(tmp_path, replica):
+    trace = hand_trace(replica)
+    write_run_csv(tmp_path / "run.csv", trace)
+    lines = (tmp_path / "run.csv").read_text().split("\n")
+    assert lines[0] == "iteration,energy_low,energy_high,accepted_low,accepted_high,swapped"
+    assert lines[-1] == ""  # every row ends in a newline
+    expected = []
+    for i in range(trace.iterations):
+        if replica:
+            high = (repr(float(trace.energy_high[i])), str(int(trace.accepted_high[i])), str(int(trace.swapped[i])))
+        else:
+            high = ("", "", "0")
+        low = (repr(float(trace.energy_low[i])), str(int(trace.accepted_low[i])))
+        expected.append(",".join((str(i), low[0], high[0], low[1], high[1], high[2])))
+    assert lines[1:-1] == expected
+    assert {"-0.0", "5e-324", "1e-05", "0.30000000000000004", "1e+16", "-1.5e+300"} <= {
+        line.split(",")[1] for line in expected
+    }
 
 
 class TestHeatmaps:
