@@ -33,10 +33,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.command == "oracle-check" and config.kind != "oracle-check":
-            raise ConfigError(f"oracle-check subcommand got kind {config.kind!r}")
-        if args.command == "rbm-train" and config.kind != "rbm-train":
-            raise ConfigError(f"rbm-train subcommand got kind {config.kind!r}")
+        if args.command != "run" and config.kind != args.command:
+            raise ConfigError(f"{args.command} subcommand got kind {config.kind!r}")
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         summary = run_experiment(config, out=args.out, threads=args.threads)

@@ -6,12 +6,11 @@ offending line.  Sections are cosmetic grouping; keys are global.
 
 from dataclasses import field, make_dataclass
 
+from .energies import SYNTHETIC_NAMES
 from .errors import ConfigError
 from .sampler import BDREAM, BDREXEL, REPLICA_SAMPLERS, SINGLE_CHAIN_SAMPLERS
 
 KINDS = ("synthetic", "ising", "rbm-train", "rbm-sample", "oracle-check")
-
-SYNTHETIC_ENERGIES = ("wave", "8gaussian", "16gaussian", "moon", "2moons", "twist", "flower")
 
 # key -> (type, default); None default means required (possibly conditionally)
 _SCHEMA = {
@@ -161,8 +160,8 @@ def _validate(values):
 
     if kind == "synthetic":
         _require(values, "energy", "kind 'synthetic'")
-        if values["energy"] not in SYNTHETIC_ENERGIES:
-            raise ConfigError(f"unknown energy {values['energy']!r}; expected one of {SYNTHETIC_ENERGIES}")
+        if values["energy"] not in SYNTHETIC_NAMES:
+            raise ConfigError(f"unknown energy {values['energy']!r}; expected one of {SYNTHETIC_NAMES}")
         if values.get("grid_levels", 64) < 2:
             raise ConfigError("grid_levels must be >= 2")
     elif kind == "ising":

@@ -15,6 +15,8 @@ BINARY01 = "binary01"
 SPIN_PM1 = "spin_pm1"
 ORDINAL = "ordinal"
 
+ENUMERATION_CAPACITY = 1 << 20  # most states all_states lists, and most pair states an oracle pmf holds
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -104,15 +106,15 @@ def index_state(index: int, domain: DomainSpec) -> np.ndarray:
     return out
 
 
-def all_states(domain: DomainSpec, capacity: int = 1 << 20) -> np.ndarray:
-    """All index vectors in state_index order, shape (num_states, dim)."""
+def all_states(domain: DomainSpec) -> np.ndarray:
+    """All index vectors in state_index order, shape (num_states, dim); CapacityError past ENUMERATION_CAPACITY."""
     n = domain.num_states
-    if n > capacity:
-        raise CapacityError(f"domain has {n} states, enumeration capped at {capacity}")
+    if n > ENUMERATION_CAPACITY:
+        raise CapacityError(f"domain has {n} states, enumeration capped at {ENUMERATION_CAPACITY}")
     grids = np.indices((domain.levels,) * domain.dim).reshape(domain.dim, n)
     return grids.T.astype(np.int64)
 
 
-def embed_all(domain: DomainSpec, capacity: int = 1 << 20) -> np.ndarray:
+def embed_all(domain: DomainSpec) -> np.ndarray:
     """Embedded coordinates of every state, shape (num_states, dim)."""
-    return domain.value_table[all_states(domain, capacity)]
+    return domain.value_table[all_states(domain)]

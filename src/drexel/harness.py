@@ -15,6 +15,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .errors import ConfigError, DomainError
 from .metrics import (
     EmpiricalHist,
     RffEstimator,
-    acceptance_rate,
     jump_rate,
     kl_divergence,
     log_rmse,
@@ -59,10 +59,7 @@ from .rbm import (
 from .rng import SALT_REFERENCE, SALT_TRUTH, substream
 from .sampler import ChainParams, RunConfig, SwapConfig, run_batch
 
-
-def repeat_seed(base_seed: int, repeat_index: int) -> int:
-    """Per-repeat seeds are base + index; recorded in the metadata echo."""
-    return base_seed + repeat_index
+RUN_CSV_BLOCK_ROWS = 4096  # rows turned into Python values at once by write_run_csv
 
 
 def _write_pgm(weights: np.ndarray, domain: DomainSpec, path) -> None:
@@ -113,69 +110,51 @@ def _run_config(config: ExperimentConfig, seed: int) -> RunConfig:
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _write_csv(path, header, rows) -> None:
+    """One table; csv writes a Python float as its repr, so every value reads back bit for bit."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _run_rows(trace):
+    """write_run_csv's rows, RUN_CSV_BLOCK_ROWS at a time; flags go through a uint8 view to print as 0/1."""
+    high = trace.is_replica
+    for start in range(0, trace.iterations, RUN_CSV_BLOCK_ROWS):
+        block = slice(start, start + RUN_CSV_BLOCK_ROWS)
+        yield from zip(
+            range(start, trace.iterations),
+            trace.energy_low[block].tolist(),
+            trace.energy_high[block].tolist() if high else repeat(""),
+            trace.accepted_low[block].view(np.uint8).tolist(),
+            trace.accepted_high[block].view(np.uint8).tolist() if high else repeat(""),
+            trace.swapped[block].view(np.uint8).tolist() if high else repeat(0),
+        )
 
 
 def write_run_csv(path, trace) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "energy_low", "energy_high", "accepted_low", "accepted_high", "swapped"])
-        high = trace.is_replica
-        for i in range(trace.iterations):
-            writer.writerow(
-                [
-                    i,
-                    _fmt(trace.energy_low[i]),
-                    _fmt(trace.energy_high[i]) if high else "",
-                    _fmt(trace.accepted_low[i]),
-                    _fmt(trace.accepted_high[i]) if high else "",
-                    _fmt(trace.swapped[i]) if high else "0",
-                ]
-            )
+    """One row per iteration; a single-chain run leaves the high-chain columns empty and swapped 0."""
+    header = ["iteration", "energy_low", "energy_high", "accepted_low", "accepted_high", "swapped"]
+    _write_csv(path, header, _run_rows(trace))
 
 
-def write_metrics_csv(path, metrics: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        for key, value in metrics.items():
-            writer.writerow([key, _fmt(value)])
-
-
-def write_summary_csv(path, per_repeat: list) -> None:
-    keys = list(per_repeat[0].keys())
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "mean", "std"])
-        for key in keys:
-            vals = np.array([m[key] for m in per_repeat], dtype=float)
-            writer.writerow([key, _fmt(vals.mean()), _fmt(vals.std())])
-
-
-def _chain_metrics(trace, metrics: dict) -> dict:
-    """The kind-specific metrics followed by the swap and acceptance rates every sampling run reports."""
-    metrics["swap_rate"] = swap_rate(trace)
-    metrics["accept_rate_low"] = acceptance_rate(trace.accepted_low)
+def _chain_metrics(trace) -> dict:
+    """The swap and acceptance rates every sampling run reports after its kind's own metrics."""
+    metrics = {"swap_rate": swap_rate(trace), "accept_rate_low": float(np.mean(trace.accepted_low))}
     if trace.is_replica:
-        metrics["accept_rate_high"] = acceptance_rate(trace.accepted_high)
+        metrics["accept_rate_high"] = float(np.mean(trace.accepted_high))
     return metrics
 
 
 def _synthetic_metrics(model, truth, truth_features, rff, trace):
-    hist = EmpiricalHist.from_states(trace.states, model.domain)
     chain_embedded = model.domain.value_table[trace.states.astype(np.int64)]
-    metrics = {
-        "kl": kl_divergence(truth, hist),
+    return {
+        "kl": kl_divergence(truth, EmpiricalHist.from_states(trace.states, model.domain)),
         "mmd": mmd_rff(None, chain_embedded, rff, mean_x=truth_features),
         "nll": nll(truth, flat_index(trace.states, model.domain)),
         "jump_rate": jump_rate(trace, model.domain),
     }
-    return _chain_metrics(trace, metrics), hist
 
 
 def _magnetization_truth(model, config):
@@ -196,7 +175,7 @@ def _magnetization_truth(model, config):
 
 def _ising_metrics(model, mag_truth, trace):
     emb = model.domain.value_table[trace.states.astype(np.int64)]
-    return _chain_metrics(trace, {"log_rmse": log_rmse(emb.mean(axis=0), mag_truth)}), None
+    return {"log_rmse": log_rmse(emb.mean(axis=0), mag_truth)}
 
 
 def _rbm_sample_metrics(model, config, trace):
@@ -213,23 +192,22 @@ def _rbm_sample_metrics(model, config, trace):
     ref_embedded = model.domain.value_table[ref]
     bw = median_bandwidth(np.vstack([chain_embedded[:500], ref_embedded[:500]]))
     rff = RffEstimator.create(model.domain.dim, bw, config.mmd_features, substream(trace.seed, SALT_TRUTH))
-    return _chain_metrics(trace, {"mmd": mmd_rff(ref_embedded, chain_embedded, rff)}), None
+    return {"mmd": mmd_rff(ref_embedded, chain_embedded, rff)}
 
 
 def _run_group(job):
-    """Sample one group of repeat seeds as a single batch, then measure each trace."""
-    model, config, seeds, measure = job
-    traces = run_batch(model, [_run_config(config, s) for s in seeds])
-    return [(trace.seed, trace, *measure(trace)) for trace in traces]
+    """Sample one group of repeats' run configs as a single batch, then measure each trace."""
+    model, runs, measure = job
+    return [(trace, measure(trace) | _chain_metrics(trace)) for trace in run_batch(model, runs)]
 
 
-def _run_repeats(model, config, seeds, measure, threads):
+def _run_repeats(model, runs, measure, threads):
     """All repeats as one batch, or split into `threads` contiguous groups, one batch per worker process."""
     if threads <= 1:
-        return _run_group((model, config, seeds, measure))
-    groups = [g.tolist() for g in np.array_split(np.array(seeds), threads) if g.size]
+        return _run_group((model, runs, measure))
+    groups = [[runs[i] for i in g] for g in np.array_split(np.arange(len(runs)), threads) if g.size]
     with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-        parts = pool.map(_run_group, [(model, config, g, measure) for g in groups])
+        parts = pool.map(_run_group, [(model, g, measure) for g in groups])
         return [result for part in parts for result in part]
 
 
@@ -256,12 +234,13 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
     out = out or config.out
     threads = threads or config.threads
     os.makedirs(out, exist_ok=True)
-    seeds = [repeat_seed(config.seed, r) for r in range(config.repeats)]
+    seeds = [config.seed + r for r in range(config.repeats)]  # per-repeat seeds, echoed in meta.txt
 
     if config.kind == "rbm-train":
         return _run_rbm_train(config, out, seeds)
     if config.kind == "oracle-check":
         return _run_oracle_check(config, out)
+    runs = [_run_config(config, seed) for seed in seeds]  # checks every sampler value before any model work
 
     if config.kind == "synthetic":
         model = _build_model(config)
@@ -286,27 +265,22 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
         extra = [f"gibbs_reference = {config.gibbs_burn_in} burn-in + {n_keep} kept steps per repeat"]
     else:
         raise DomainError(f"unknown kind {config.kind!r}")
-    results = _run_repeats(model, config, seeds, measure, threads)
+    results = _run_repeats(model, runs, measure, threads)
 
-    per_repeat = []
-    pooled_hist = None
-    for seed, trace, metrics, hist in results:
-        write_run_csv(os.path.join(out, f"run_{seed}.csv"), trace)
-        write_metrics_csv(os.path.join(out, f"metrics_{seed}.csv"), metrics)
-        per_repeat.append(metrics)
-        if hist is not None:
-            pooled_hist = hist.counts if pooled_hist is None else pooled_hist + hist.counts
-    write_summary_csv(os.path.join(out, "summary.csv"), per_repeat)
+    for trace, metrics in results:
+        write_run_csv(os.path.join(out, f"run_{trace.seed}.csv"), trace)
+        _write_csv(os.path.join(out, f"metrics_{trace.seed}.csv"), ["metric", "value"], metrics.items())
+    summary = {}
+    for key in results[0][1]:
+        vals = np.array([metrics[key] for _, metrics in results], dtype=float)
+        summary[key] = (float(vals.mean()), float(vals.std()))
+    _write_csv(os.path.join(out, "summary.csv"), ["metric", "mean", "std"], ((k, *v) for k, v in summary.items()))
     _write_meta(out, config, seeds, extra)
 
     if config.kind == "synthetic" and config.heatmap:
-        _write_pgm(pooled_hist, model.domain, os.path.join(out, "empirical.pgm"))
+        pooled = EmpiricalHist.from_states(np.concatenate([trace.states for trace, _ in results]), model.domain)
+        _write_pgm(pooled.counts, model.domain, os.path.join(out, "empirical.pgm"))
         _write_pgm(truth.p, model.domain, os.path.join(out, "target.pgm"))  # the exact pmf, rendered alike
-
-    summary = {}
-    for key in per_repeat[0]:
-        vals = np.array([m[key] for m in per_repeat], dtype=float)
-        summary[key] = (float(vals.mean()), float(vals.std()))
     return summary
 
 
@@ -326,11 +300,7 @@ def _run_rbm_train(config: ExperimentConfig, out, seeds):
     model, losses = train_rbm(data, train_cfg)
     weights_path = os.path.join(out, config.weights_out)
     save_rbm(model, weights_path)
-    with open(os.path.join(out, "train_loss.csv"), "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "energy_gap"])
-        for i, loss in enumerate(losses):
-            writer.writerow([i, _fmt(loss)])
+    _write_csv(os.path.join(out, "train_loss.csv"), ["iteration", "energy_gap"], enumerate(losses.tolist()))
     _write_meta(out, config, seeds, [f"weights = {weights_path}"])
     return {"final_energy_gap": (float(losses[-1]) if len(losses) else 0.0, 0.0)}
 

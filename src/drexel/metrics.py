@@ -9,6 +9,8 @@ from .errors import DomainError
 from .oracle import Pmf
 
 MEAN_BLOCK_ROWS = 1024  # rows of features held at once by RffEstimator.mean_features
+BANDWIDTH_ROWS = 1000  # largest subsample whose pairwise distances median_bandwidth takes
+JUMP_DISTANCE = 1.0  # embedded L2 distance beyond which jump_rate counts a move as a jump
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,11 @@ class RffEstimator:
         return total / xs.shape[0]
 
 
-def median_bandwidth(samples: np.ndarray, cap: int = 1000) -> float:
-    """Median pairwise distance of an (evenly thinned) subsample; floor at 1e-12."""
+def median_bandwidth(samples: np.ndarray) -> float:
+    """Median pairwise distance of a subsample evenly thinned to BANDWIDTH_ROWS rows; floor at 1e-12."""
     xs = np.atleast_2d(np.asarray(samples, dtype=float))
-    if xs.shape[0] > cap:
-        xs = xs[np.linspace(0, xs.shape[0] - 1, cap).astype(int)]
+    if xs.shape[0] > BANDWIDTH_ROWS:
+        xs = xs[np.linspace(0, xs.shape[0] - 1, BANDWIDTH_ROWS).astype(int)]
     sq = np.sum(xs**2, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (xs @ xs.T), 0.0)
     upper = d2[np.triu_indices(xs.shape[0], k=1)]
@@ -143,17 +145,17 @@ def log_rmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     mse = float(np.mean((e - t) ** 2))
     if mse == 0.0:
         return float("-inf")
-    return 0.5 * np.log(mse)
+    return float(0.5 * np.log(mse))
 
 
-def jump_rate(trace, domain: DomainSpec, threshold: float = 1.0) -> float:
-    """Fraction of consecutive emitted states farther than `threshold` apart (L2, embedded)."""
+def jump_rate(trace, domain: DomainSpec) -> float:
+    """Fraction of consecutive emitted states farther than JUMP_DISTANCE apart (L2, embedded)."""
     states = trace.states if hasattr(trace, "states") else np.asarray(trace)
     if states.shape[0] < 2:
         raise DomainError("jump rate needs a trace of length >= 2")
     emb = domain.value_table[states.astype(np.int64)]
     dist = np.linalg.norm(np.diff(emb, axis=0), axis=1)
-    return float(np.mean(dist > threshold))
+    return float(np.mean(dist > JUMP_DISTANCE))
 
 
 def swap_rate(trace) -> float:
@@ -161,7 +163,3 @@ def swap_rate(trace) -> float:
     if trace.swap_attempts == 0:
         return 0.0
     return trace.swap_successes / trace.iterations
-
-
-def acceptance_rate(accepted: np.ndarray) -> float:
-    return float(np.mean(accepted))

@@ -19,13 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BINARY01, SPIN_PM1, all_states, embed_all
+from .domains import BINARY01, ENUMERATION_CAPACITY, SPIN_PM1, all_states, embed_all
 from .energies import EnergyModel, QuadraticEnergy, _sigmoid
 from .errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
 from .sampler import ChainParams, SwapConfig, _Kernel, _swap_probs
 
-KERNEL_CAPACITY = 4096
-SPECTRAL_CAPACITY = 256
+KERNEL_CAPACITY = 4096  # most states, or pair states, an exact kernel or normalizer table spans
+SPECTRAL_CAPACITY = 256  # most states the spectral check decomposes
+SPECTRAL_SLACK = 1e-10  # rounding allowance added to the spectral TV bound
+
+
+def _within(count: int, limit: int, what: str) -> None:
+    """The one enumeration guard: CapacityError when count `what` exceed limit."""
+    if count > limit:
+        raise CapacityError(f"{count} {what} exceeds the limit of {limit}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,9 @@ class Kernel:
         object.__setattr__(self, "matrix", k)
 
 
-def enumerate_target(model: EnergyModel, tau: float = 1.0, capacity: int = 1 << 20) -> Pmf:
+def enumerate_target(model: EnergyModel, tau: float = 1.0) -> Pmf:
     """Exact pi ~ exp(U/tau) by enumeration with log-sum-exp normalization."""
-    xs = embed_all(model.domain, capacity)
+    xs = embed_all(model.domain)
     logit = model.value_batch(xs) / tau
     logit -= logit.max()
     p = np.exp(logit)
@@ -80,11 +87,11 @@ def exact_single_kernel(model: EnergyModel, params: ChainParams) -> Kernel:
     non-finite energy or gradient raises the sampler's NumericError.
     Rejected mass goes to the diagonal.  The accept probability is computed
     as min(q_fwd, ratio * q_rev) entry-wise so detailed balance of the
-    composed kernel holds to machine precision.
+    composed kernel holds to machine precision.  The diagonal is clipped at
+    0, where a row's moves round to a total just above 1.
     """
     n = model.domain.num_states
-    if n > KERNEL_CAPACITY:
-        raise CapacityError(f"{n} states exceeds kernel capacity {KERNEL_CAPACITY}")
+    _within(n, KERNEL_CAPACITY, "kernel states")
     states = all_states(model.domain)
     chains = _Kernel(model, [params] * n).evaluate(states)
     probs = np.exp(chains.logp)
@@ -97,7 +104,7 @@ def exact_single_kernel(model: EnergyModel, params: ChainParams) -> Kernel:
     ratio = np.exp((u[None, :] - u[:, None]) / params.tau)  # pi(y)/pi(x), tempered
     K = np.minimum(Q, ratio * Q.T)
     np.fill_diagonal(K, 0.0)
-    np.fill_diagonal(K, 1.0 - K.sum(axis=1))
+    np.fill_diagonal(K, np.maximum(1.0 - K.sum(axis=1), 0.0))
     return Kernel(matrix=K)
 
 
@@ -113,19 +120,17 @@ def _quad_distances(xs: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.diag(G)[:, None] + np.diag(G)[None, :] - 2 * G
 
 
-def _normalizer_exponents(model: EnergyModel, params: ChainParams, capacity: int) -> np.ndarray:
+def _normalizer_exponents(model: EnergyModel, params: ChainParams) -> np.ndarray:
     """(n, n) exponents (U(x) - U(theta)) / (2 tau) - (x - theta)^T M (x - theta) / 2, row theta, column x."""
     model = _require_quadratic(model)
-    n = model.domain.num_states
-    if n > capacity:
-        raise CapacityError(f"{n} states exceeds kernel capacity {capacity}")
+    _within(model.domain.num_states, KERNEL_CAPACITY, "kernel states")
     xs = embed_all(model.domain)
     u = model.value_batch(xs)
     M = np.eye(model.domain.dim) / params.alpha + (model.w / params.tau) * model.J
     return (u[None, :] - u[:, None]) / (2.0 * params.tau) - 0.5 * _quad_distances(xs, M)
 
 
-def proposal_normalizers(model: EnergyModel, params: ChainParams, capacity: int = KERNEL_CAPACITY) -> np.ndarray:
+def proposal_normalizers(model: EnergyModel, params: ChainParams) -> np.ndarray:
     """Per-state proposal normalizer Z_alpha on a log-quadratic energy.
 
     Z(theta) = sum_x exp[(U(x) - U(theta)) / (2 tau)
@@ -133,18 +138,18 @@ def proposal_normalizers(model: EnergyModel, params: ChainParams, capacity: int 
     which equals the product of the per-coordinate softmax denominators of
     the sampler's proposal; tends to 1 as alpha -> 0.
     """
-    expo = _normalizer_exponents(model, params, capacity)
+    expo = _normalizer_exponents(model, params)
     m = expo.max(axis=1)
     return np.exp(m) * np.exp(expo - m[:, None]).sum(axis=1)
 
 
-def log_proposal_normalizers(model: EnergyModel, params: ChainParams, capacity: int = KERNEL_CAPACITY) -> np.ndarray:
+def log_proposal_normalizers(model: EnergyModel, params: ChainParams) -> np.ndarray:
     """log Z_alpha for every state, via log1p of the off-state mass.
 
     Resolves tails as small as exp(-700) that a plain exp-sum would swallow
     into the leading 1; used by the small-step-size convergence checks.
     """
-    expo = _normalizer_exponents(model, params, capacity)
+    expo = _normalizer_exponents(model, params)
     np.fill_diagonal(expo, -np.inf)  # the stay term is the leading 1
     with np.errstate(under="ignore"):
         off = np.exp(expo).sum(axis=1)
@@ -159,29 +164,20 @@ def pair_target_product_gap(model: EnergyModel, params_low: ChainParams, params_
     """
     lz1 = log_proposal_normalizers(model, params_low)
     lz2 = log_proposal_normalizers(model, params_high)
-    p1 = enumerate_target(model, tau=params_low.tau).p
-    p2 = enumerate_target(model, tau=params_high.tau).p
-    p_prod = np.outer(p1, p2).ravel()
+    p_prod = tempered_pair_pmf(model, params_low, params_high).p
     delta = (lz1[:, None] + lz2[None, :]).ravel()
     log_d = np.log1p(float(p_prod @ np.expm1(delta)))
     return 0.5 * float(p_prod @ np.abs(np.expm1(delta - log_d)))
 
 
-def intermediate_pair_pmf(
-    model: EnergyModel,
-    params_low: ChainParams,
-    params_high: ChainParams,
-    capacity: int = 1 << 20,
-) -> Pmf:
+def intermediate_pair_pmf(model: EnergyModel, params_low: ChainParams, params_high: ChainParams) -> Pmf:
     """Intermediate pair target: Z_a1(x1) Z_a2(x2) exp(U(x1)/tau1 + U(x2)/tau2), normalized.
 
     Pair (i, j) maps to flat index i * n + j.  Converges to the product of the
     two tempered marginals as both step sizes go to 0.
     """
     model = _require_quadratic(model)
-    n = model.domain.num_states
-    if n * n > capacity:
-        raise CapacityError(f"{n * n} pair states exceeds capacity {capacity}")
+    _within(model.domain.num_states**2, ENUMERATION_CAPACITY, "pair states")
     u = model.value_batch(embed_all(model.domain))
     lz1 = np.log(proposal_normalizers(model, params_low))
     lz2 = np.log(proposal_normalizers(model, params_high))
@@ -191,11 +187,9 @@ def intermediate_pair_pmf(
     return Pmf(p=p / p.sum())
 
 
-def tempered_pair_pmf(model, params_low, params_high, capacity: int = 1 << 20) -> Pmf:
+def tempered_pair_pmf(model, params_low, params_high) -> Pmf:
     """Plain product of the two tempered marginals (the alpha -> 0 limit)."""
-    n = model.domain.num_states
-    if n * n > capacity:
-        raise CapacityError(f"{n * n} pair states exceeds capacity {capacity}")
+    _within(model.domain.num_states**2, ENUMERATION_CAPACITY, "pair states")
     p1 = enumerate_target(model, tau=params_low.tau).p
     p2 = enumerate_target(model, tau=params_high.tau).p
     return Pmf(p=np.outer(p1, p2).ravel())
@@ -236,9 +230,7 @@ def exact_joint_kernel(
     swap probability of each branch is evaluated on its own pre-swap
     proposals together with the previous states.
     """
-    n = model.domain.num_states
-    if n * n > KERNEL_CAPACITY:
-        raise CapacityError(f"{n * n} pair states exceeds kernel capacity {KERNEL_CAPACITY}")
+    _within(model.domain.num_states**2, KERNEL_CAPACITY, "kernel pair states")
     q1 = exact_single_kernel(model, params_low).matrix
     q2 = exact_single_kernel(model, params_high).matrix
     u = model.value_batch(embed_all(model.domain))
@@ -269,9 +261,7 @@ def balanced_joint_kernel(
     model = _require_quadratic(model)
     if params_low.mh_enabled or params_high.mh_enabled:
         raise DomainError("the balanced swap is derived for unadjusted chains; got params with mh_enabled")
-    n = model.domain.num_states
-    if n * n > KERNEL_CAPACITY:
-        raise CapacityError(f"{n * n} pair states exceeds kernel capacity {KERNEL_CAPACITY}")
+    _within(model.domain.num_states**2, KERNEL_CAPACITY, "kernel pair states")
     a1, t1 = params_low.alpha, params_low.tau
     a2, t2 = params_high.alpha, params_high.tau
     q1 = exact_single_kernel(model, params_low).matrix
@@ -321,16 +311,15 @@ class SpectralReport:
         return self.lambda0_error <= 1e-10
 
 
-def spectral_tv_bound_check(kernel: Kernel, pmf: Pmf, n_max: int, slack: float = 1e-10) -> SpectralReport:
-    """Verify ||q^n(.|x) - pi||_TV <= lambda_*^n / (2 sqrt(pi(x))) + slack for n = 1..n_max.
+def spectral_tv_bound_check(kernel: Kernel, pmf: Pmf, n_max: int) -> SpectralReport:
+    """Verify ||q^n(.|x) - pi||_TV <= lambda_*^n / (2 sqrt(pi(x))) + SPECTRAL_SLACK for n = 1..n_max.
 
     Requires a kernel reversible with respect to pmf (residual <= 1e-8): only
     then is D q D^(-1) symmetric and the eigenvalue bound meaningful.
     """
     K = kernel.matrix
     n = K.shape[0]
-    if n > SPECTRAL_CAPACITY:
-        raise CapacityError(f"{n} states exceeds spectral capacity {SPECTRAL_CAPACITY}")
+    _within(n, SPECTRAL_CAPACITY, "spectral states")
     residual = detailed_balance_check(kernel, pmf)
     if residual > 1e-8:
         raise PreconditionError(f"kernel is not reversible wrt pmf (residual {residual:.3e})")
@@ -347,7 +336,7 @@ def spectral_tv_bound_check(kernel: Kernel, pmf: Pmf, n_max: int, slack: float =
     for step in range(1, n_max + 1):
         Kn = Kn @ K
         tv = 0.5 * np.abs(Kn - pmf.p[None, :]).sum(axis=1)
-        bound = lambda_star**step / (2.0 * root) + slack
+        bound = lambda_star**step / (2.0 * root) + SPECTRAL_SLACK
         worst = max(worst, float((tv - bound).max()))
     return SpectralReport(
         eigenvalues=w,

@@ -101,9 +101,9 @@ def cd_gradient(rbm: RbmFreeEnergy, batch: np.ndarray, k: int, rng: np.random.Ge
     return grads
 
 
-def exact_log_likelihood(rbm: RbmFreeEnergy, rows: np.ndarray, capacity: int = 1 << 20) -> float:
+def exact_log_likelihood(rbm: RbmFreeEnergy, rows: np.ndarray) -> float:
     """Mean log-likelihood by enumerating the visible partition function."""
-    xs = embed_all(rbm.domain, capacity)
+    xs = embed_all(rbm.domain)
     u = rbm.value_batch(xs)
     m = u.max()
     log_z = m + np.log(np.exp(u - m).sum())

@@ -149,7 +149,10 @@ class _Chains(NamedTuple):
 
 
 class _Kernel:
-    """The one chain kernel: K chains over one model, with per-chain step size, temperature and MH switch.
+    """The one chain kernel: K chains over one model, with per-chain step size and temperature.
+
+    All K chains share one Metropolis switch; params that differ in
+    mh_enabled raise DomainError.
 
     With a swap configuration the rows form replica pairs, row 2p the low
     and row 2p + 1 the high chain of pair p.  Every public step function and
@@ -162,13 +165,14 @@ class _Kernel:
         self.values = model.domain.value_table
         self.alpha = np.array([p.alpha for p in params], dtype=float)
         self.tau = np.array([p.tau for p in params], dtype=float)
-        self.mh = np.array([p.mh_enabled for p in params], dtype=bool)
+        self.mh = params[0].mh_enabled
+        if any(p.mh_enabled != self.mh for p in params):
+            raise DomainError("the chains of one kernel share one Metropolis switch; got mixed mh_enabled")
         self.swap = swap
         k = len(params)
         self.cells = (np.arange(k)[:, None], np.arange(model.domain.dim))  # (chain, coordinate) of each table row
         self.always = np.ones(k, dtype=bool)
-        self.widths = model.domain.dim + self.mh  # uniforms each chain draws per iteration
-        self.draws = np.zeros((k, model.domain.dim + 1))
+        self.draws = np.zeros((k, model.domain.dim + self.mh))  # each chain's uniforms for one iteration
         if swap is not None and ((self.tau[0::2] >= self.tau[1::2]) | (self.alpha[0::2] >= self.alpha[1::2])).any():
             warnings.warn(
                 "replica pair expects tau_low < tau_high and alpha_low < alpha_high; running anyway",
@@ -215,35 +219,36 @@ class _Kernel:
 
         Returns the proposals' chain records with the forward and reverse
         log-proposals; the reverse one is read off each proposal's own table
-        and is NaN for chains without the Metropolis correction.
+        under the Metropolis correction and is NaN without it.
         """
         cum = np.exp(chains.logp).cumsum(axis=2)
         cum /= cum[:, :, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
         prop = (cum < u[:, :, None]).sum(axis=2)
         forward_logq = chains.logp[(*self.cells, prop)].sum(axis=1)
         new = self.evaluate(prop)
-        reverse_logq = np.where(self.mh, new.logp[(*self.cells, chains.states)].sum(axis=1), np.nan)
-        return new, forward_logq, reverse_logq
+        if not self.mh:
+            return new, forward_logq, np.full(forward_logq.shape, np.nan)
+        return new, forward_logq, new.logp[(*self.cells, chains.states)].sum(axis=1)
 
     def draw(self, rngs) -> np.ndarray:
         """Each chain's uniforms for one iteration, from its own generator, as the rows of one buffer."""
-        for rng, row, width in zip(rngs, self.draws, self.widths):
-            rng.random(out=row[:width])
+        for rng, row in zip(rngs, self.draws):
+            rng.random(out=row)
         return self.draws
 
     def step(self, chains: _Chains, draws: np.ndarray):
         """One proposal and Metropolis decision per chain.
 
-        draws is (K, dim + 1): each chain's dim proposal uniforms, then its
-        Metropolis uniform (read only under the correction).  Returns the
-        retained chains and the accept flags.
+        draws is (K, dim + mh): each chain's dim proposal uniforms, then,
+        under the correction, its Metropolis uniform.  Returns the retained
+        chains and the accept flags.
         """
         dim = chains.states.shape[1]
         new, forward_logq, reverse_logq = self.propose(chains, draws[:, :dim])
-        if not self.mh.any():
+        if not self.mh:
             return new, self.always
         log_a = (new.energy - chains.energy) / self.tau + reverse_logq - forward_logq
-        accepted = ~self.mh | _accepts(log_a, draws[:, dim])
+        accepted = _accepts(log_a, draws[:, dim])
         if accepted.all():
             return new, accepted
         kept = _Chains(*(np.where(accepted.reshape((-1,) + (1,) * (a.ndim - 1)), a, b) for a, b in zip(new, chains)))
@@ -322,14 +327,19 @@ class RunConfig:
     init_prob: float = 0.5
 
     def __post_init__(self):
+        """Checks every value before any model work, building the chain params and swap config once to do so."""
         if self.sampler not in SINGLE_CHAIN_SAMPLERS + REPLICA_SAMPLERS:
             raise DomainError(f"unknown sampler {self.sampler!r}")
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
         if self.thin < 1:
             raise DomainError("thinning stride must be >= 1")
+        if self.init not in ("uniform", "bernoulli"):
+            raise DomainError(f"unknown init {self.init!r}")
         if self.sampler in REPLICA_SAMPLERS and (self.alpha_high is None or self.tau_high is None):
             raise DomainError(f"{self.sampler} needs alpha_high and tau_high")
+        self.chain_params()
+        self.swap_config()
 
     @property
     def is_replica(self) -> bool:
@@ -376,11 +386,9 @@ class RunTrace:
 def _draw_init(domain: DomainSpec, config: RunConfig, rng: np.random.Generator) -> np.ndarray:
     if config.init == "uniform":
         return rng.integers(0, domain.levels, size=domain.dim, dtype=np.int64)
-    if config.init == "bernoulli":
-        if domain.levels != 2:
-            raise DomainError("bernoulli init needs a two-level domain")
-        return (rng.random(domain.dim) < config.init_prob).astype(np.int64)
-    raise DomainError(f"unknown init {config.init!r}")
+    if domain.levels != 2:
+        raise DomainError("bernoulli init needs a two-level domain")
+    return (rng.random(domain.dim) < config.init_prob).astype(np.int64)
 
 
 def run_sampler(model: EnergyModel, config: RunConfig) -> RunTrace:

@@ -11,6 +11,7 @@ import pytest
 from drexel.config import parse_config
 from drexel.domains import DomainSpec
 from drexel.energies import EnergyModel
+from drexel.errors import DomainError
 from drexel.harness import _write_pgm, run_experiment, write_run_csv
 from drexel.sampler import RunTrace
 
@@ -326,6 +327,29 @@ seed = 1
         assert "joint_balanced_db_pass = True" in report
         assert "spectral_pass = True" in report
         assert summary["overall_pass"][0] == 1.0
+
+
+@pytest.mark.parametrize("bad", ["tau = 0", "thin = 0", "init = bernouli"])
+@pytest.mark.parametrize("kind", ["synthetic", "ising", "rbm-sample"])
+def test_sampler_values_checked_before_model_work(tmp_path, monkeypatch, kind, bad):
+    """A bad sampler value fails before the model, its truth or its reference is built."""
+    from drexel import harness
+
+    def no_model_work(*args, **kwargs):
+        raise AssertionError("model work started before the sampler values were checked")
+
+    for name in ("_build_model", "enumerate_target", "_magnetization_truth", "load_rbm"):
+        monkeypatch.setattr(harness, name, no_model_work)
+    body = {
+        "synthetic": "energy = wave\ngrid_levels = 16\n",
+        "ising": "side = 32\nreference_steps = 20000\n",
+        "rbm-sample": "weights = w.bin\n",
+    }[kind]
+    (tmp_path / "w.bin").write_bytes(b"")
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config(f"kind = {kind}\n{body}sampler = dmala\nalpha = 0.1\niterations = 10\nseed = 1\n{bad}\n")
+    with pytest.raises(DomainError):
+        run_experiment(cfg, out=str(tmp_path / "out"))
 
 
 class TestCli:

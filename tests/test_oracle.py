@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drexel import ChainParams, SwapConfig, make_ising_chain, make_ising_lattice
+from drexel import ChainParams, SwapConfig, make_ising_chain, make_ising_lattice, make_synthetic
 from drexel.domains import DomainSpec, embed_all, state_index
 from drexel.energies import QuadraticEnergy, RbmFreeEnergy
 from drexel.errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
@@ -77,7 +77,7 @@ class TestEnumerateTarget:
         dom = DomainSpec.binary01(25)
         model = QuadraticEnergy(domain=dom, J=np.zeros((25, 25)), b=np.zeros(25), w=1.0)
         with pytest.raises(CapacityError):
-            enumerate_target(model, capacity=1 << 20)
+            enumerate_target(model)
 
 
 class TestSingleKernel:
@@ -107,6 +107,15 @@ class TestSingleKernel:
         pi = enumerate_target(three_spin_ising, tau=1.7)
         K = exact_single_kernel(three_spin_ising, ChainParams(alpha=alpha, tau=1.7, mh_enabled=True))
         assert detailed_balance_check(K, pi) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.3])
+    def test_mh_diagonal_never_rounds_below_zero(self, alpha):
+        """On the 32-level moon grid some rows' moves sum to just above 1; the diagonal stays >= 0."""
+        model = make_synthetic("moon", levels=32)
+        K = exact_single_kernel(model, ChainParams(alpha=alpha, tau=1.0, mh_enabled=True)).matrix
+        assert K.min() >= 0
+        assert np.abs(K.sum(axis=1) - 1).max() <= 1e-10
+        assert detailed_balance_check(Kernel(matrix=K), enumerate_target(model)) <= 1e-12
 
     def test_kernel_strictly_positive(self, two_spin_ising):
         K = exact_single_kernel(two_spin_ising, ChainParams(alpha=0.4, mh_enabled=True))

@@ -183,6 +183,18 @@ class TestDlsStep:
         assert reverse_logq == pytest.approx(rev, abs=1e-12)
 
 
+    def test_reverse_logq_is_nan_without_metropolis(self):
+        model = make_ising_chain(2, 0.15, np.zeros(2))
+        _, _, reverse_logq = propose(*one_chain(model, np.array([0, 1]), ChainParams(alpha=0.4)), substream(3, SALT_LOW))
+        assert np.isnan(reverse_logq)
+
+    def test_mixed_metropolis_switch_rejected(self):
+        model = make_ising_chain(2, 0.15, np.zeros(2))
+        params = (ChainParams(alpha=0.2, mh_enabled=True), ChainParams(alpha=0.4, tau=2.0))
+        with pytest.raises(DomainError, match="one Metropolis switch"):
+            _Kernel(model, params, SwapConfig(variant="history", rho=1.0))
+
+
 class TestMhAccept:
     def test_identity_proposal_always_accepted(self, two_spin_ising):
         params = ChainParams(alpha=1e-9, tau=1.0, mh_enabled=True)
