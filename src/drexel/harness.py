@@ -278,8 +278,8 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
     _write_meta(out, config, seeds, extra)
 
     if config.kind == "synthetic" and config.heatmap:
-        pooled = EmpiricalHist.from_states(np.concatenate([trace.states for trace, _ in results]), model.domain)
-        _write_pgm(pooled.counts, model.domain, os.path.join(out, "empirical.pgm"))
+        pooled = sum(EmpiricalHist.from_states(trace.states, model.domain).counts for trace, _ in results)
+        _write_pgm(pooled, model.domain, os.path.join(out, "empirical.pgm"))
         _write_pgm(truth.p, model.domain, os.path.join(out, "target.pgm"))  # the exact pmf, rendered alike
     return summary
 
