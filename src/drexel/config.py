@@ -157,6 +157,8 @@ def _validate(values):
             raise ConfigError("sigma2 must be nonnegative")
         if not 0.0 <= values.get("rho", 1.0) <= 1.0:
             raise ConfigError("rho must be in [0, 1]")
+        if not 0.0 <= values.get("init_prob", 0.5) <= 1.0:
+            raise ConfigError("init_prob must be in [0, 1]")
 
     if kind == "synthetic":
         _require(values, "energy", "kind 'synthetic'")

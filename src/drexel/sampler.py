@@ -20,6 +20,15 @@ and log-proposal table.  A step draws from the carried tables and
 evaluates the energy once per chain, at the proposals: that one
 `value_and_grad_batch` call gives the Metropolis energies, the reverse
 log-proposals and, on acceptance, the next forward tables.
+
+On a two-level domain (0/1 units, +-1 spins) the kernel does the same
+arithmetic on the two (K, dim) level planes instead of a (K, dim, 2)
+log-softmax and cumulative draw, and gives the same bits: a max reduce over
+two entries is np.maximum of them; a sum of two terms has a single rounding
+either way; and the last column of the cumulative draw, cum / cum[-1], is
+exactly 1.0, above every uniform in [0, 1), so its first column
+c0 / (c0 + c1) alone decides the draw.  The log-proposals of the drawn and
+the current values are read with np.where on the two columns.
 """
 
 import os
@@ -111,6 +120,18 @@ def _log_softmax(logits):
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _two_level_log_softmax(x: np.ndarray, g: np.ndarray, values: np.ndarray, alpha, tau) -> np.ndarray:
+    """_log_softmax(_logits(...)) on a two-level domain, bit for bit, computed on the two (K, dim) level planes."""
+    diff = values[:, None, None] - x
+    z = g / (2.0 * tau) * diff  # the logits; reusing buffers keeps the peak memory at the generic path's
+    z -= diff**2 / (2.0 * alpha)
+    z -= np.maximum(z[0], z[1])
+    e = np.exp(z, out=diff)
+    logp = np.empty(x.shape + (2,))
+    np.subtract(z, np.log(e[0] + e[1]), out=logp.transpose(2, 0, 1))
+    return logp
+
+
 def _accepts(log_a, u):
     """Metropolis decisions u < min(1, exp(log_a)); a NaN ratio stays NaN and never accepts."""
     return u < np.exp(np.minimum(log_a, 0.0))
@@ -171,6 +192,7 @@ class _Kernel:
         self.swap = swap
         k = len(params)
         self.cells = (np.arange(k)[:, None], np.arange(model.domain.dim))  # (chain, coordinate) of each table row
+        self.two_level = model.domain.levels == 2
         self.always = np.ones(k, dtype=bool)
         self.draws = np.zeros((k, model.domain.dim + self.mh))  # each chain's uniforms for one iteration
         if swap is not None and ((self.tau[0::2] >= self.tau[1::2]) | (self.alpha[0::2] >= self.alpha[1::2])).any():
@@ -192,7 +214,11 @@ class _Kernel:
         probabilities.
         """
         alpha, tau = (self.alpha, self.tau) if rows is None else (self.alpha[rows], self.tau[rows])
-        logp = _log_softmax(_logits(self.values[states], grad, self.values, alpha[:, None, None], tau[:, None, None]))
+        x = self.values[states]
+        if self.two_level:
+            logp = _two_level_log_softmax(x, grad, self.values, alpha[:, None], tau[:, None])
+        else:
+            logp = _log_softmax(_logits(x, grad, self.values, alpha[:, None, None], tau[:, None, None]))
         if np.isnan(logp).any() or not np.isfinite(energy).all():
             rows = np.arange(len(self.tau)) if rows is None else rows
             k = int(np.argmax(np.isnan(logp).any(axis=(1, 2)) | ~np.isfinite(energy)))
@@ -221,14 +247,25 @@ class _Kernel:
         log-proposals; the reverse one is read off each proposal's own table
         under the Metropolis correction and is NaN without it.
         """
-        cum = np.exp(chains.logp).cumsum(axis=2)
-        cum /= cum[:, :, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
-        prop = (cum < u[:, :, None]).sum(axis=2)
-        forward_logq = chains.logp[(*self.cells, prop)].sum(axis=1)
+        if self.two_level:
+            # the generic draw's first column, from the same exp of the whole table; its last is exactly 1.0
+            c = np.exp(chains.logp)
+            prop = (c[..., 0] / (c[..., 0] + c[..., 1]) < u).astype(int)
+        else:
+            cum = np.exp(chains.logp).cumsum(axis=2)
+            cum /= cum[:, :, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
+            prop = (cum < u[:, :, None]).sum(axis=2)
+        forward_logq = self.logq(chains.logp, prop)
         new = self.evaluate(prop)
         if not self.mh:
             return new, forward_logq, np.full(forward_logq.shape, np.nan)
-        return new, forward_logq, new.logp[(*self.cells, chains.states)].sum(axis=1)
+        return new, forward_logq, self.logq(new.logp, chains.states)
+
+    def logq(self, logp: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Each chain's log-proposal of the (K, dim) value indices states, summed over coordinates."""
+        if self.two_level:
+            return np.where(states, logp[..., 1], logp[..., 0]).sum(axis=1)
+        return logp[(*self.cells, states)].sum(axis=1)
 
     def draw(self, rngs) -> np.ndarray:
         """Each chain's uniforms for one iteration, from its own generator, as the rows of one buffer."""
@@ -336,6 +373,8 @@ class RunConfig:
             raise DomainError("thinning stride must be >= 1")
         if self.init not in ("uniform", "bernoulli"):
             raise DomainError(f"unknown init {self.init!r}")
+        if not 0.0 <= self.init_prob <= 1.0:
+            raise DomainError(f"init_prob must be in [0, 1], got {self.init_prob}")
         if self.sampler in REPLICA_SAMPLERS and (self.alpha_high is None or self.tau_high is None):
             raise DomainError(f"{self.sampler} needs alpha_high and tau_high")
         self.chain_params()

@@ -121,6 +121,15 @@ seed = 3
         parse_config(text.replace("side = 4", "side = 1"))
 
 
+@pytest.mark.parametrize("prob", ["-3.0", "1.5", "nan"])
+def test_init_prob_outside_the_unit_interval_rejected(prob):
+    text = MINIMAL_SYNTHETIC + "init = bernoulli\ninit_prob = {}\n"
+    for edge in ("0.0", "1.0"):
+        assert parse_config(text.format(edge)).init_prob == float(edge)
+    with pytest.raises(ConfigError, match="init_prob must be in"):
+        parse_config(text.format(prob))
+
+
 def test_oracle_check_requires_chain_params():
     with pytest.raises(ConfigError, match="alpha"):
         parse_config("kind = oracle-check\nspins = 2\nseed = 1\n")

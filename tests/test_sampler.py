@@ -27,7 +27,7 @@ from drexel.domains import DomainSpec
 from drexel.energies import EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
-from drexel.sampler import _accepts, _Kernel
+from drexel.sampler import _accepts, _Chains, _Kernel, _log_softmax, _logits
 from test_golden import GOLDEN, golden_config, trace_digest
 
 
@@ -378,6 +378,14 @@ class TestReplica:
         with pytest.raises(DomainError):
             SwapConfig(variant="history", rho=1.5)
 
+    @pytest.mark.parametrize("prob", [-3.0, 1.5, float("nan")])
+    def test_init_prob_outside_the_unit_interval_rejected(self, prob):
+        cfg = dict(sampler="dmala", iterations=10, seed=0, alpha=0.1, init="bernoulli")
+        for edge in (0.0, 1.0):
+            RunConfig(**cfg, init_prob=edge)
+        with pytest.raises(DomainError, match="init_prob must be in"):
+            RunConfig(**cfg, init_prob=prob)
+
 
 class TestLongRunConvergence:
     """Unadjusted bias and empirical convergence on a tiny binary Ising chain.
@@ -645,6 +653,95 @@ class TestNonFiniteFailsLoudly:
         kernel = _Kernel(model, (ChainParams(alpha=0.1, mh_enabled=mh),))
         with pytest.raises(NumericError, match="^low chain: 2 of 2 gradient entries not finite$"):
             kernel.evaluate(np.array([[3, 4]]))
+
+
+class GivenGradient(EnergyModel):
+    """Zero energy, and one fixed (K, dim) gradient at every batch of K states."""
+
+    def __init__(self, domain, grad, energy=None):
+        self.domain = domain
+        self.grad = grad
+        self.energy = np.zeros(len(grad)) if energy is None else energy
+
+    def value_and_grad_batch(self, xs):
+        return self.energy, self.grad
+
+
+EXTREME_GRADIENTS = (0.0, -0.0, 1e300, -1e300, -1e-300, 5e-324, -5e-324)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestTwoLevelPath:
+    """On two-level domains the kernel works on two level columns; it must give the generic path's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_tables_draws_and_logq_equal_the_generic_path(self, data):
+        domain = data.draw(st.sampled_from([DomainSpec.binary01, DomainSpec.spin_pm1]))(data.draw(st.integers(1, 6)))
+        k, dim = data.draw(st.integers(1, 64)), domain.dim
+        entry = st.one_of(st.sampled_from(EXTREME_GRADIENTS), st.floats(-1e3, 1e3))
+        grads = [np.array(data.draw(st.lists(entry, min_size=k * dim, max_size=k * dim))).reshape(k, dim) for _ in "ab"]
+        states = np.array(data.draw(st.lists(st.integers(0, 1), min_size=k * dim, max_size=k * dim))).reshape(k, dim)
+        alphas = [data.draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-310, 1e-9, 1e9, 1e300]))) for _ in range(k)]
+        taus = [data.draw(st.floats(1e-3, 1e3)) for _ in range(k)]
+        if data.draw(st.booleans()):
+            taus[data.draw(st.integers(0, k - 1))] = 1e-9  # g / (2 tau) overflows where g = +-1e300
+        params = [ChainParams(alpha=a, tau=t, mh_enabled=True) for a, t in zip(alphas, taus)]
+        u = np.random.default_rng(data.draw(st.integers(0, 2**32))).random((k, dim))
+        kernel = _Kernel(GivenGradient(domain, grads[1]), params)
+        assert kernel.two_level
+        values, cells = domain.value_table, (np.arange(k)[:, None], np.arange(dim))
+        alpha, tau = kernel.alpha[:, None, None], kernel.tau[:, None, None]
+        with np.errstate(all="ignore"):
+            generic = _log_softmax(_logits(values[states], grads[0], values, alpha, tau))
+            if np.isnan(generic).any():
+                with pytest.raises(NumericError):
+                    kernel.table(states, np.zeros(k), grads[0])
+                return
+            table = kernel.table(states, np.zeros(k), grads[0])
+            assert np.array_equal(_bits(table), _bits(generic))
+            cum = np.exp(generic).cumsum(axis=2)
+            cum /= cum[:, :, -1:]
+            prop = (cum < u[:, :, None]).sum(axis=2)
+            forward = generic[(*cells, prop)].sum(axis=1)
+            generic_new = _log_softmax(_logits(values[prop], grads[1], values, alpha, tau))
+            chains = _Chains(states, np.zeros(k), grads[0], table)
+            if np.isnan(generic_new).any():
+                with pytest.raises(NumericError):
+                    kernel.propose(chains, u)
+                return
+            new, forward_logq, reverse_logq = kernel.propose(chains, u)
+        assert new.states.dtype == prop.dtype and np.array_equal(new.states, prop)
+        assert np.array_equal(_bits(new.logp), _bits(generic_new))
+        assert np.array_equal(_bits(forward_logq), _bits(forward))
+        assert np.array_equal(_bits(reverse_logq), _bits(generic_new[(*cells, states)].sum(axis=1)))
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("nan-gradient", "high chain: 1 of 3 gradient entries not finite"),
+            ("overflowing-gradient", "high chain: gradient overflows the logits at tau = 0.4"),
+            ("infinite-energy", "high chain: energy not finite (U = inf)"),
+        ],
+    )
+    def test_errors_name_the_chain_and_row(self, fault, message):
+        """Row 3 is the high chain of the second pair; each fault names it, as on the generic path."""
+        grad, energy = np.full((4, 3), 0.5), np.zeros(4)
+        if fault == "nan-gradient":
+            grad[3, 1] = np.nan
+        elif fault == "overflowing-gradient":
+            grad[3] = 1.7e308
+        else:
+            energy[3] = np.inf
+        low, high = ChainParams(alpha=0.2, tau=0.1), ChainParams(alpha=0.4, tau=0.4)
+        kernel = _Kernel(GivenGradient(DomainSpec.binary01(3), grad, energy), (low, high) * 2, SwapConfig())
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            kernel.evaluate(np.zeros((4, 3), dtype=np.int64))
+        assert str(err.value) == message
+        assert err.value.row == 3
 
 
 class TestRunBatch:
