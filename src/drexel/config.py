@@ -1,18 +1,42 @@
 """Line-oriented experiment configuration: `key = value` with optional [section] headers.
 
 Unknown keys are errors (fail closed), and every parse error names the
-offending line.  Sections are cosmetic grouping; keys are global.
+offending line.  Sections are cosmetic grouping; keys are global.  A value
+that a settings object (RunConfig, ChainParams, SwapConfig, RbmTrainConfig)
+checks is checked there only: parse_config builds the ones its kind runs
+with, through the same functions the harness calls.
 """
 
 from dataclasses import field, make_dataclass
 
 from .energies import SYNTHETIC_NAMES
-from .errors import ConfigError
-from .sampler import BDREAM, BDREXEL, REPLICA_SAMPLERS, SINGLE_CHAIN_SAMPLERS
+from .errors import ConfigError, DomainError
+from .rbm import RbmTrainConfig
+from .sampler import BDREAM, BDREXEL, REPLICA_SAMPLERS, ChainParams, RunConfig, SwapConfig
 
 KINDS = ("synthetic", "ising", "rbm-train", "rbm-sample", "oracle-check")
+SAMPLING_KINDS = ("synthetic", "ising", "rbm-sample")
+_REQUIRED = {
+    "synthetic": ("sampler", "alpha", "iterations", "energy"),
+    "ising": ("sampler", "alpha", "iterations", "side"),
+    "rbm-train": ("visible", "hidden"),
+    "rbm-sample": ("sampler", "alpha", "iterations", "weights"),
+    "oracle-check": ("alpha", "alpha_high", "tau_high"),
+}
+# integer keys that no settings object checks: (kind, or None for every kind; key; least value)
+_LEAST = (
+    (None, "repeats", 1),
+    ("synthetic", "grid_levels", 2),
+    ("synthetic", "reference_samples", 2),  # the MMD bandwidth is their median pairwise distance
+    ("ising", "side", 2),
+    ("ising", "reference_steps", 1),
+    ("rbm-train", "visible", 1),
+    ("rbm-sample", "gibbs_burn_in", 0),
+    ("oracle-check", "spins", 1),
+    ("oracle-check", "n_max", 1),
+)
 
-# key -> (type, default); None default means required (possibly conditionally)
+# key -> (type, default); kind and seed have none, and _REQUIRED lists the keys each kind must set
 _SCHEMA = {
     "kind": (str, None),
     "out": (str, "runs/out"),
@@ -114,8 +138,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         typ, _ = _SCHEMA[key]
         values[key] = _parse_scalar(key, raw, typ, lineno)
-    _validate(values)
-    return ExperimentConfig(**values)
+    _require_keys(values)
+    config = ExperimentConfig(**values)
+    _validate(config)
+    try:
+        _SETTINGS[config.kind](config)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    return config
 
 
 def _require(values, key, context):
@@ -123,69 +153,73 @@ def _require(values, key, context):
         raise ConfigError(f"{context} requires key {key!r}")
 
 
-def _validate(values):
+def _require_keys(values):
+    """The keys that every file, its kind and its sampler must set."""
     _require(values, "kind", "every config")
     kind = values["kind"]
     if kind not in KINDS:
         raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
     _require(values, "seed", "every config")
-    if values.get("repeats", 1) < 1:
-        raise ConfigError("repeats must be >= 1")
-    if values.get("threads", 1) < 1:
-        raise ConfigError("threads must be >= 1")
+    for key in _REQUIRED[kind]:
+        _require(values, key, f"kind {kind!r}")
+    sampler = values["sampler"] if kind in SAMPLING_KINDS else None
+    for key in ("alpha_high", "tau_high") if sampler in REPLICA_SAMPLERS else ():
+        _require(values, key, f"sampler {sampler!r}")
+    if sampler in (BDREXEL, BDREAM) and "sigma2" not in values:
+        raise ConfigError(f"sampler {sampler!r} requires the sigma2 key")
 
-    needs_sampler = kind in ("synthetic", "ising", "rbm-sample")
-    if needs_sampler:
-        _require(values, "sampler", f"kind {kind!r}")
-        sampler = values["sampler"]
-        if sampler not in SINGLE_CHAIN_SAMPLERS + REPLICA_SAMPLERS:
-            raise ConfigError(f"unknown sampler {sampler!r}")
-        _require(values, "alpha", "any sampler")
-        if values["alpha"] <= 0:
-            raise ConfigError("alpha must be positive")
-        _require(values, "iterations", f"kind {kind!r}")
-        if values["iterations"] < 1:
-            raise ConfigError("iterations must be >= 1")
-        if sampler in REPLICA_SAMPLERS:
-            _require(values, "alpha_high", f"sampler {sampler!r}")
-            _require(values, "tau_high", f"sampler {sampler!r}")
-            if values["alpha_high"] <= 0 or values["tau_high"] <= 0:
-                raise ConfigError("alpha_high and tau_high must be positive")
-        if sampler in (BDREXEL, BDREAM) and "sigma2" not in values:
-            raise ConfigError(f"sampler {sampler!r} requires the sigma2 key")
-        if "sigma2" in values and values["sigma2"] < 0:
-            raise ConfigError("sigma2 must be nonnegative")
-        if not 0.0 <= values.get("rho", 1.0) <= 1.0:
-            raise ConfigError("rho must be in [0, 1]")
-        if not 0.0 <= values.get("init_prob", 0.5) <= 1.0:
-            raise ConfigError("init_prob must be in [0, 1]")
 
-    if kind == "synthetic":
-        _require(values, "energy", "kind 'synthetic'")
-        if values["energy"] not in SYNTHETIC_NAMES:
-            raise ConfigError(f"unknown energy {values['energy']!r}; expected one of {SYNTHETIC_NAMES}")
-        if values.get("grid_levels", 64) < 2:
-            raise ConfigError("grid_levels must be >= 2")
-    elif kind == "ising":
-        _require(values, "side", "kind 'ising'")
-        if values["side"] < 2:
-            raise ConfigError("side must be >= 2")
-        if values.get("coupling", 0.15) <= 0:
-            raise ConfigError("coupling must be positive")
-    elif kind == "rbm-train":
-        _require(values, "visible", "kind 'rbm-train'")
-        _require(values, "hidden", "kind 'rbm-train'")
-        if values["visible"] < 1 or values["hidden"] < 1:
-            raise ConfigError("visible and hidden must be positive")
-        if values.get("dataset", "synthetic") == "synthetic" and not 0 <= values.get("flip_prob", 0.05) < 0.5:
-            raise ConfigError("flip_prob must be in [0, 0.5)")
-    elif kind == "rbm-sample":
-        _require(values, "weights", "kind 'rbm-sample'")
-    elif kind == "oracle-check":
-        if values.get("spins", 2) < 1:
-            raise ConfigError("spins must be >= 1")
-        for key in ("alpha", "alpha_high", "tau_high"):
-            _require(values, key, "kind 'oracle-check'")
+def check_threads(threads: int) -> int:
+    """threads, the number of worker processes over the repeats, if at least 1."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
+def _validate(config):
+    """The values that no settings object checks."""
+    check_threads(config.threads)
+    for kind, key, least in _LEAST:
+        if kind in (None, config.kind) and getattr(config, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")
+    if config.kind == "synthetic" and config.energy not in SYNTHETIC_NAMES:
+        raise ConfigError(f"unknown energy {config.energy!r}; expected one of {SYNTHETIC_NAMES}")
+    if config.kind == "ising" and not config.coupling > 0:
+        raise ConfigError("coupling must be positive")
+    if config.kind == "rbm-train" and config.dataset == "synthetic" and not 0 <= config.flip_prob < 0.5:
+        raise ConfigError("flip_prob must be in [0, 0.5)")
+
+
+def run_configs(config: ExperimentConfig) -> list:
+    """Each repeat's RunConfig, at seed config.seed + r; alpha_high = tau_high = 0.0 leaves them unset."""
+    return [
+        RunConfig(
+            sampler=config.sampler, iterations=config.iterations, seed=config.seed + r, alpha=config.alpha,
+            tau=config.tau, alpha_high=config.alpha_high or None, tau_high=config.tau_high or None, rho=config.rho,
+            sigma2=config.sigma2, thin=config.thin, init=config.init, init_prob=config.init_prob,
+        )
+        for r in range(config.repeats)
+    ]
+
+
+def oracle_settings(config: ExperimentConfig) -> tuple:
+    """The oracle check's unadjusted low and high ChainParams, and its history swap at the config's rho."""
+    low = ChainParams(alpha=config.alpha, tau=config.tau)
+    return low, ChainParams(alpha=config.alpha_high, tau=config.tau_high), SwapConfig(rho=config.rho)
+
+
+def rbm_train_config(config: ExperimentConfig) -> RbmTrainConfig:
+    return RbmTrainConfig(
+        hidden=config.hidden, cd_k=config.cd_k, learning_rate=config.learning_rate,
+        iterations=config.train_iterations, batch_size=config.batch_size, seed=config.seed,
+    )
+
+
+# what each kind runs with; parse_config builds it to have its values checked
+_SETTINGS = dict.fromkeys(SAMPLING_KINDS, run_configs) | {
+    "oracle-check": oracle_settings,
+    "rbm-train": rbm_train_config,
+}
 
 
 def load_config(path) -> ExperimentConfig:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import ORDINAL, DomainSpec
+from .domains import BINARY01, ORDINAL, DomainSpec
 from .errors import DomainError
 
 WAVE = "wave"
@@ -150,6 +150,8 @@ class RbmFreeEnergy(EnergyModel):
 
     def block_gibbs(self, v, rng):
         """One block-Gibbs sweep over the rows of v: sample hidden given visible, then visible given hidden."""
+        if self.domain.kind != BINARY01:
+            raise DomainError("block Gibbs runs on binary01 visible units")
         h = (rng.random((v.shape[0], self.hidden)) < self.hidden_means(v)).astype(float)
         return (rng.random(v.shape) < self.visible_means(h)).astype(float)
 

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_threads, oracle_settings, rbm_train_config, run_configs
 from .domains import DomainSpec, embed_all, flat_index
 from .energies import make_ising_chain, make_ising_lattice, make_synthetic
 from .errors import ConfigError, DomainError
@@ -37,7 +37,6 @@ from .metrics import (
 )
 from .oracle import (
     balanced_joint_kernel,
-    block_gibbs_rbm_step,
     colour_classes,
     detailed_balance_check,
     enumerate_target,
@@ -48,16 +47,9 @@ from .oracle import (
     spectral_tv_bound_check,
     tempered_pair_pmf,
 )
-from .rbm import (
-    RbmTrainConfig,
-    load_dataset,
-    load_rbm,
-    save_rbm,
-    synth_bernoulli_mixture,
-    train_rbm,
-)
+from .rbm import load_dataset, load_rbm, save_rbm, synth_bernoulli_mixture, train_rbm
 from .rng import SALT_REFERENCE, SALT_TRUTH, substream
-from .sampler import ChainParams, RunConfig, SwapConfig, run_batch
+from .sampler import BIAS_CORRECTED, run_batch
 
 RUN_CSV_BLOCK_ROWS = 4096  # rows turned into Python values at once by write_run_csv
 
@@ -91,23 +83,6 @@ def _build_model(config: ExperimentConfig):
         n = config.side * config.side
         return make_ising_lattice(config.side, config.coupling, np.full(n, config.field), config.periodic)
     raise DomainError(f"no model builder for kind {config.kind!r}")
-
-
-def _run_config(config: ExperimentConfig, seed: int) -> RunConfig:
-    return RunConfig(
-        sampler=config.sampler,
-        iterations=config.iterations,
-        seed=seed,
-        alpha=config.alpha,
-        tau=config.tau,
-        alpha_high=config.alpha_high or None,
-        tau_high=config.tau_high or None,
-        rho=config.rho,
-        sigma2=config.sigma2,
-        thin=config.thin,
-        init=config.init,
-        init_prob=config.init_prob,
-    )
 
 
 def _write_csv(path, header, rows) -> None:
@@ -180,19 +155,17 @@ def _ising_metrics(model, mag_truth, trace):
 
 def _rbm_sample_metrics(model, config, trace):
     rng_ref = substream(trace.seed, SALT_REFERENCE)
-    n_keep = trace.states.shape[0]
-    ref = np.empty((n_keep, model.domain.dim), dtype=np.int64)
-    state = (rng_ref.random(model.domain.dim) < 0.5).astype(np.int64)
+    ref = np.empty((trace.states.shape[0], model.domain.dim))  # 0/1 visible units, their own embedding
+    state = (rng_ref.random((1, model.domain.dim)) < 0.5).astype(float)
     for _ in range(config.gibbs_burn_in):
-        state = block_gibbs_rbm_step(model, state, rng_ref)
-    for i in range(n_keep):
-        state = block_gibbs_rbm_step(model, state, rng_ref)
-        ref[i] = state
+        state = model.block_gibbs(state, rng_ref)
+    for row in ref:
+        state = model.block_gibbs(state, rng_ref)
+        row[:] = state[0]
     chain_embedded = model.domain.value_table[trace.states.astype(np.int64)]
-    ref_embedded = model.domain.value_table[ref]
-    bw = median_bandwidth(np.vstack([chain_embedded[:500], ref_embedded[:500]]))
+    bw = median_bandwidth(np.vstack([chain_embedded[:500], ref[:500]]))
     rff = RffEstimator.create(model.domain.dim, bw, config.mmd_features, substream(trace.seed, SALT_TRUTH))
-    return {"mmd": mmd_rff(ref_embedded, chain_embedded, rff)}
+    return {"mmd": mmd_rff(ref, chain_embedded, rff)}
 
 
 def _run_group(job):
@@ -211,12 +184,12 @@ def _run_repeats(model, runs, measure, threads):
         return [result for part in parts for result in part]
 
 
-def _write_meta(out, config, seeds, extra=None):
+def _write_meta(out, config, extra=None):
     with open(os.path.join(out, "meta.txt"), "w") as fh:
         fh.write(f"drexel_version = {__version__}\n")
         for key, value in sorted(vars(config).items()):
             fh.write(f"{key} = {value}\n")
-        fh.write(f"repeat_seeds = {','.join(str(s) for s in seeds)}\n")
+        fh.write(f"repeat_seeds = {','.join(str(config.seed + r) for r in range(config.repeats))}\n")
         for line in extra or ():
             fh.write(line + "\n")
 
@@ -232,15 +205,14 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
     """Execute one experiment config; returns the summary metrics by name."""
     _check_referenced_files(config)
     out = out or config.out
-    threads = threads or config.threads
+    threads = check_threads(config.threads if threads is None else threads)
     os.makedirs(out, exist_ok=True)
-    seeds = [config.seed + r for r in range(config.repeats)]  # per-repeat seeds, echoed in meta.txt
 
     if config.kind == "rbm-train":
-        return _run_rbm_train(config, out, seeds)
+        return _run_rbm_train(config, out)
     if config.kind == "oracle-check":
         return _run_oracle_check(config, out)
-    runs = [_run_config(config, seed) for seed in seeds]  # checks every sampler value before any model work
+    runs = run_configs(config)  # checks every sampler value before any model work
 
     if config.kind == "synthetic":
         model = _build_model(config)
@@ -275,7 +247,7 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
         vals = np.array([metrics[key] for _, metrics in results], dtype=float)
         summary[key] = (float(vals.mean()), float(vals.std()))
     _write_csv(os.path.join(out, "summary.csv"), ["metric", "mean", "std"], ((k, *v) for k, v in summary.items()))
-    _write_meta(out, config, seeds, extra)
+    _write_meta(out, config, extra)
 
     if config.kind == "synthetic" and config.heatmap:
         pooled = sum(EmpiricalHist.from_states(trace.states, model.domain).counts for trace, _ in results)
@@ -284,24 +256,16 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
     return summary
 
 
-def _run_rbm_train(config: ExperimentConfig, out, seeds):
+def _run_rbm_train(config: ExperimentConfig, out):
     if config.dataset == "synthetic":
         data = synth_bernoulli_mixture(config.visible, config.modes, config.per_mode, config.flip_prob, config.seed)
     else:
         data = load_dataset(config.dataset)
-    train_cfg = RbmTrainConfig(
-        hidden=config.hidden,
-        cd_k=config.cd_k,
-        learning_rate=config.learning_rate,
-        iterations=config.train_iterations,
-        batch_size=config.batch_size,
-        seed=config.seed,
-    )
-    model, losses = train_rbm(data, train_cfg)
+    model, losses = train_rbm(data, rbm_train_config(config))
     weights_path = os.path.join(out, config.weights_out)
     save_rbm(model, weights_path)
     _write_csv(os.path.join(out, "train_loss.csv"), ["iteration", "energy_gap"], enumerate(losses.tolist()))
-    _write_meta(out, config, seeds, [f"weights = {weights_path}"])
+    _write_meta(out, config, [f"weights = {weights_path}"])
     return {"final_energy_gap": (float(losses[-1]) if len(losses) else 0.0, 0.0)}
 
 
@@ -310,8 +274,7 @@ def _run_oracle_check(config: ExperimentConfig, out):
     model = make_ising_chain(config.spins, config.coupling, np.full(config.spins, config.field))
     # the history, naive and balanced rows are about the unadjusted chains;
     # with_mh adjusts the single chain and adds the adjusted replica rows
-    low = ChainParams(alpha=config.alpha, tau=config.tau)
-    high = ChainParams(alpha=config.alpha_high, tau=config.tau_high)
+    low, high, swap = oracle_settings(config)
     pi_low = enumerate_target(model, tau=config.tau)
     lines = []
     ok = True
@@ -324,11 +287,11 @@ def _run_oracle_check(config: ExperimentConfig, out):
         lines.append(f"single_chain_db_pass = {res_single <= 1e-12}")
 
     pair_target = intermediate_pair_pmf(model, low, high)
-    for variant in ("history", "naive"):
-        kernel = exact_joint_kernel(model, low, high, SwapConfig(variant=variant, rho=config.rho))
-        res = detailed_balance_check(kernel, pair_target)
-        lines.append(f"joint_{variant}_db_residual = {res:.6e}")
-    balanced = balanced_joint_kernel(model, low, high, rho=config.rho)
+    # the naive swap, exp[(1/tau2 - 1/tau1) (U1 - U2)], is the bias-corrected one at sigma2 = 0
+    for name, rule in (("history", swap), ("naive", replace(swap, variant=BIAS_CORRECTED))):
+        res = detailed_balance_check(exact_joint_kernel(model, low, high, rule), pair_target)
+        lines.append(f"joint_{name}_db_residual = {res:.6e}")
+    balanced = balanced_joint_kernel(model, low, high, rho=swap.rho)
     res_bal = detailed_balance_check(balanced, pair_target)
     lines.append(f"joint_balanced_db_residual = {res_bal:.6e}")
     ok &= res_bal <= 1e-10
@@ -339,7 +302,7 @@ def _run_oracle_check(config: ExperimentConfig, out):
         # Metropolis-adjusted replica kernel: residuals reported against both
         # candidate targets, no pass threshold asserted for either
         adjusted_low, adjusted_high = (replace(p, mh_enabled=True) for p in (low, high))
-        adjusted = exact_joint_kernel(model, adjusted_low, adjusted_high, SwapConfig(variant="history", rho=config.rho))
+        adjusted = exact_joint_kernel(model, adjusted_low, adjusted_high, swap)
         lines.append(
             f"joint_adjusted_db_residual_vs_intermediate = {detailed_balance_check(adjusted, pair_target):.6e}"
         )

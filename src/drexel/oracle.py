@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BINARY01, ENUMERATION_CAPACITY, SPIN_PM1, all_states, embed_all
+from .domains import ENUMERATION_CAPACITY, SPIN_PM1, all_states, embed_all
 from .energies import EnergyModel, QuadraticEnergy, _sigmoid
 from .errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
 from .sampler import ChainParams, SwapConfig, _Kernel, _swap_probs
@@ -347,14 +347,6 @@ def spectral_tv_bound_check(kernel: Kernel, pmf: Pmf, n_max: int) -> SpectralRep
         db_residual=float(residual),
         n_max=n_max,
     )
-
-
-def block_gibbs_rbm_step(rbm, visible: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One RBM block-Gibbs sweep: sample hidden given visible, then visible given hidden."""
-    if rbm.domain.kind != BINARY01:
-        raise DomainError("block Gibbs runs on binary01 visible units")
-    v = rbm.domain.validate_state(visible).astype(float)
-    return rbm.block_gibbs(v[None, :], rng)[0].astype(np.int64)
 
 
 def colour_classes(model: QuadraticEnergy) -> list:

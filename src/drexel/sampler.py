@@ -57,7 +57,6 @@ BDREAM = "bdream"
 SINGLE_CHAIN_SAMPLERS = (DULA, DMALA)
 REPLICA_SAMPLERS = (DREXEL, DREAM, BDREXEL, BDREAM)
 
-NAIVE = "naive"
 BIAS_CORRECTED = "bias_corrected"
 HISTORY = "history"
 
@@ -86,7 +85,7 @@ class SwapConfig:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in (NAIVE, BIAS_CORRECTED, HISTORY):
+        if self.variant not in (BIAS_CORRECTED, HISTORY):
             raise DomainError(f"unknown swap variant {self.variant!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"swap intensity rho must be in [0, 1], got {self.rho}")
@@ -140,9 +139,7 @@ def _accepts(log_a, u):
 def _swap_probs(swap: SwapConfig, tau1, tau2, u_next1, u_next2, u_prev1, u_prev2):
     """rho * min(1, S) elementwise over pairs of chains; see swap_probability."""
     beta = 1.0 / tau2 - 1.0 / tau1
-    if swap.variant == NAIVE:
-        exponent = beta * (u_next1 - u_next2)
-    elif swap.variant == BIAS_CORRECTED:
+    if swap.variant == BIAS_CORRECTED:
         exponent = beta * (u_next1 - u_next2 - beta * swap.sigma2)
     else:
         # grouped per chain so exchanging next and previous energies is an
@@ -336,9 +333,9 @@ def swap_probability(
 ) -> float:
     """Probability of exchanging the two chains' states: rho * min(1, S).
 
-    naive           S = exp[(1/tau2 - 1/tau1) (U1 - U2)]
-    bias_corrected  adds (1/tau1 - 1/tau2) sigma2 inside the bracket
-    history         uses U1 + U1_prev - U2 - U2_prev
+    bias_corrected  S = exp[(1/tau2 - 1/tau1) (U1 - U2 - (1/tau2 - 1/tau1) sigma2)],
+                    the naive swap at sigma2 = 0
+    history         uses U1 + U1_prev - U2 - U2_prev in place of U1 - U2
     """
     for u in (u_next1, u_next2, u_prev1, u_prev2):
         if not np.isfinite(u):

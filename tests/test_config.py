@@ -130,6 +130,62 @@ def test_init_prob_outside_the_unit_interval_rejected(prob):
         parse_config(text.format(prob))
 
 
+# a valid config of each kind, to set one bad value in
+BASES = {
+    "synthetic": MINIMAL_SYNTHETIC,
+    "replica": MINIMAL_SYNTHETIC.replace("dmala", "dream") + "alpha_high = 0.05\ntau_high = 2.0\n",
+    "ising": "kind = ising\nside = 4\nsampler = dmala\nalpha = 0.4\niterations = 100\nseed = 3\n",
+    "rbm-sample": "kind = rbm-sample\nweights = w.bin\nsampler = dmala\nalpha = 0.2\niterations = 10\nseed = 1\n",
+    "rbm-train": "kind = rbm-train\nvisible = 16\nhidden = 8\nseed = 1\n",
+    "oracle-check": "kind = oracle-check\nalpha = 0.2\nalpha_high = 0.4\ntau_high = 2.0\nseed = 1\n",
+}
+
+
+def _set(base, line):
+    """BASES[base] with the key of `line` set to its value: its own line replaced, or the line appended."""
+    key = line.partition(" = ")[0]
+    return "\n".join([kept for kept in BASES[base].splitlines() if kept.partition(" = ")[0] != key] + [line]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "base, bad",
+    [
+        ("synthetic", "tau = 0"),
+        ("synthetic", "thin = 0"),
+        ("synthetic", "init = bernouli"),
+        ("replica", "tau_high = -1"),
+        ("replica", "rho = 2"),
+        ("replica", "sigma2 = -1"),
+        ("rbm-train", "cd_k = 0"),
+        ("rbm-train", "learning_rate = 0"),
+        ("rbm-train", "batch_size = 0"),
+        ("oracle-check", "alpha = 0"),
+    ],
+)
+def test_values_the_settings_objects_reject_are_config_errors(base, bad):
+    """parse_config builds the kind's RunConfig, ChainParams, SwapConfig or RbmTrainConfig, and keeps their verdict."""
+    parse_config(BASES[base])
+    with pytest.raises(ConfigError):
+        parse_config(_set(base, bad))
+
+
+@pytest.mark.parametrize(
+    "base, bad",
+    [
+        ("ising", "reference_steps = 0"),
+        ("rbm-sample", "gibbs_burn_in = -5"),
+        ("oracle-check", "n_max = 0"),
+        ("synthetic", "reference_samples = 0"),
+        ("synthetic", "reference_samples = 1"),
+    ],
+)
+def test_reference_and_check_lengths_rejected(base, bad):
+    """Lengths that would give a NaN metric, a vacuous pass or a burn-in that meta.txt misreports."""
+    parse_config(BASES[base])
+    with pytest.raises(ConfigError, match=bad.partition(" = ")[0]):
+        parse_config(_set(base, bad))
+
+
 def test_oracle_check_requires_chain_params():
     with pytest.raises(ConfigError, match="alpha"):
         parse_config("kind = oracle-check\nspins = 2\nseed = 1\n")

@@ -1,5 +1,6 @@
 """End-to-end experiment runs, artifact schemas, determinism, and the CLI."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,10 +9,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from drexel.config import parse_config
+from drexel.config import _SCHEMA, parse_config
 from drexel.domains import DomainSpec
 from drexel.energies import EnergyModel
-from drexel.errors import DomainError
+from drexel.errors import ConfigError, DomainError
 from drexel.harness import _write_pgm, run_experiment, write_run_csv
 from drexel.sampler import RunTrace
 
@@ -347,7 +348,12 @@ def test_sampler_values_checked_before_model_work(tmp_path, monkeypatch, kind, b
     }[kind]
     (tmp_path / "w.bin").write_bytes(b"")
     monkeypatch.chdir(tmp_path)
-    cfg = parse_config(f"kind = {kind}\n{body}sampler = dmala\nalpha = 0.1\niterations = 10\nseed = 1\n{bad}\n")
+    text = f"kind = {kind}\n{body}sampler = dmala\nalpha = 0.1\niterations = 10\nseed = 1\n"
+    with pytest.raises(ConfigError):
+        parse_config(f"{text}{bad}\n")
+    # a config made in code skips parse_config; the run itself must still check before model work
+    key, _, raw = bad.partition(" = ")
+    cfg = dataclasses.replace(parse_config(text), **{key: _SCHEMA[key][0](raw)})
     with pytest.raises(DomainError):
         run_experiment(cfg, out=str(tmp_path / "out"))
 
@@ -398,6 +404,20 @@ class TestCli:
         proc = self._run("run", str(cfg_path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "weights file not found" in proc.stderr
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        """--threads is checked by the rule that checks the threads key; the config's value is no fallback."""
+        from drexel import cli
+
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SYNTH_CFG)
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--threads", threads]) == 2
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg_path.write_text(SYNTH_CFG + f"threads = {threads}\n")
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
 
     def test_non_finite_gradient_exit_3(self, tmp_path, monkeypatch, capsys):
         """A NaN gradient is a numeric error (exit 3), not a config error."""

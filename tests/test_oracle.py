@@ -21,7 +21,6 @@ from drexel.oracle import (
     Pmf,
     _swap_prob_grid,
     balanced_joint_kernel,
-    block_gibbs_rbm_step,
     colour_classes,
     detailed_balance_check,
     enumerate_target,
@@ -228,7 +227,7 @@ class TestJointKernel:
 
     def test_swap_grid_matches_swap_probability(self, two_spin_ising):
         u = two_spin_ising.value_batch(embed_all(two_spin_ising.domain))
-        for variant, sigma2 in (("naive", 0.0), ("bias_corrected", 1.3), ("history", 0.0)):
+        for variant, sigma2 in (("bias_corrected", 0.0), ("bias_corrected", 1.3), ("history", 0.0)):
             cfg = SwapConfig(variant=variant, rho=0.8, sigma2=sigma2)
             grid = _swap_prob_grid(cfg, 1.0, 2.0, u)
             for x1 in range(4):
@@ -254,7 +253,8 @@ class TestJointKernel:
         K = exact_joint_kernel(two_spin_ising, self.low, self.high, SwapConfig(variant="history", rho=1.0))
         res = detailed_balance_check(K, pt)
         assert res == pytest.approx(1.3014e-2, rel=1e-3)
-        naive = exact_joint_kernel(two_spin_ising, self.low, self.high, SwapConfig(variant="naive", rho=1.0))
+        naive_swap = SwapConfig(variant="bias_corrected", rho=1.0, sigma2=0.0)
+        naive = exact_joint_kernel(two_spin_ising, self.low, self.high, naive_swap)
         res_naive = detailed_balance_check(naive, pt)
         assert res_naive == pytest.approx(5.2752e-4, rel=1e-3)
 
@@ -374,10 +374,10 @@ class TestBlockGibbs:
         rng = substream(0, SALT_LOW)
         total = np.zeros(5)
         n = 4000
-        v = np.zeros(5, dtype=np.int64)
+        v = np.zeros((1, 5))
         for _ in range(n):
-            v = block_gibbs_rbm_step(rbm, v, rng)
-            total += v
+            v = rbm.block_gibbs(v, rng)
+            total += v[0]
         freq = total / n
         assert np.abs(freq - 0.5).max() <= 4 * 0.5 / np.sqrt(n)
 
@@ -387,9 +387,9 @@ class TestBlockGibbs:
         rng = substream(1, SALT_LOW)
         n = 20000
         ones = 0
-        v = np.zeros(3, dtype=np.int64)
+        v = np.zeros((1, 3))
         for _ in range(n):
-            v = block_gibbs_rbm_step(rbm, v, rng)
+            v = rbm.block_gibbs(v, rng)
             ones += int(v.sum())
         freq = ones / (3 * n)
         assert freq == pytest.approx(1 / (1 + np.exp(-10.0)), abs=3e-4)
@@ -400,12 +400,12 @@ class TestBlockGibbs:
         pi = enumerate_target(small_rbm)
         marginals = pi.p @ embed_all(small_rbm.domain)
         rng = substream(5, SALT_LOW)
-        v = np.zeros(6, dtype=np.int64)
+        v = np.zeros((1, 6))
         n = 1_000_000
         total = np.zeros(6)
         for _ in range(n):
-            v = block_gibbs_rbm_step(small_rbm, v, rng)
-            total += v
+            v = small_rbm.block_gibbs(v, rng)
+            total += v[0]
         freq = total / n
         # effective sample size is reduced by autocorrelation; Gibbs on this
         # small RBM decorrelates within ~10 sweeps
@@ -416,7 +416,7 @@ class TestBlockGibbs:
         rng = substream(0, SALT_LOW)
         bad = RbmFreeEnergy(domain=DomainSpec.spin_pm1(2), W=np.zeros((2, 2)), c=np.zeros(2), b=np.zeros(2))
         with pytest.raises(DomainError):
-            block_gibbs_rbm_step(bad, np.array([0, 1]), rng)
+            bad.block_gibbs(np.array([[0.0, 1.0]]), rng)
 
 
 def _spin_model(J):

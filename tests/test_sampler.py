@@ -239,15 +239,16 @@ class TestSwapProbability:
         assert p == pytest.approx(np.exp(-2.0), abs=1e-12)
 
     def test_naive_hand_value(self):
-        cfg = SwapConfig(variant="naive", rho=1.0)
+        cfg = SwapConfig(variant="bias_corrected", rho=1.0, sigma2=0.0)  # the naive swap
         p = swap_probability(cfg, 1.0, 2.0, -1.0, -3.0, 0.0, 0.0)
         assert p == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_bias_corrected_reduces_to_naive_at_zero_sigma(self):
-        naive = SwapConfig(variant="naive", rho=0.7)
+        """At sigma2 = 0 the bias-corrected swap is the naive one, rho * min(1, exp[beta (U1 - U2)]), bit for bit."""
         bias = SwapConfig(variant="bias_corrected", rho=0.7, sigma2=0.0)
         args = (1.0, 3.0, -2.0, -1.0, 0.5, 0.25)
-        assert swap_probability(naive, *args) == swap_probability(bias, *args)
+        beta = 1.0 / 3.0 - 1.0 / 1.0
+        assert swap_probability(bias, *args) == 0.7 * np.exp(min(beta * (-2.0 - -1.0), 0.0))
 
     def test_bias_correction_shifts_exponent(self):
         cfg = SwapConfig(variant="bias_corrected", rho=1.0, sigma2=2.0)
@@ -268,7 +269,7 @@ class TestSwapProbability:
         assert a == b
 
     def test_non_finite_energy_rejected(self):
-        cfg = SwapConfig(variant="naive", rho=1.0)
+        cfg = SwapConfig(variant="bias_corrected", rho=1.0, sigma2=0.0)
         with pytest.raises(NumericError):
             swap_probability(cfg, 1.0, 2.0, np.inf, 0.0, 0.0, 0.0)
 
@@ -277,10 +278,13 @@ class TestSwapProbability:
         p = swap_probability(cfg, 1.0, 2.0, 5.0, -5.0, 5.0, -5.0)
         assert 0.0 <= p <= 0.25
 
-    @pytest.mark.parametrize("variant", ["naive", "bias_corrected", "history"])
-    def test_extreme_energies_do_not_overflow(self, variant):
+    @pytest.mark.parametrize(
+        "variant, sigma2", [("bias_corrected", 0.0), ("bias_corrected", 1.0), ("history", 1.0)],
+        ids=["naive", "bias_corrected", "history"],
+    )
+    def test_extreme_energies_do_not_overflow(self, variant, sigma2):
         """beta * dU of 1e6 must give rho or 0 without an overflow warning."""
-        cfg = SwapConfig(variant=variant, rho=0.5, sigma2=1.0)
+        cfg = SwapConfig(variant=variant, rho=0.5, sigma2=sigma2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert swap_probability(cfg, 1.0, 2.0, -1e6, 1e6, -1e6, 1e6) == 0.5
@@ -539,7 +543,7 @@ class TestEmpiricalKernelMatchesOracle:
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "perturbed",
-        [SwapConfig(variant="naive", rho=1.0), SwapConfig(variant="history", rho=0.9)],
+        [SwapConfig(variant="bias_corrected", rho=1.0, sigma2=0.0), SwapConfig(variant="history", rho=0.9)],
         ids=["naive-swap", "rho-0.9"],
     )
     @pytest.mark.parametrize("name", sorted(KERNEL_RUNS))
