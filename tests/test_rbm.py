@@ -1,5 +1,7 @@
 """Contrastive-divergence training, synthetic data, and weight persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,52 @@ class TestTrainRbm:
         data = synth_bernoulli_mixture(dim=4, modes=1, per_mode=10, flip_prob=0.0, seed=0)
         with pytest.raises(DomainError):
             train_rbm(data, RbmTrainConfig(hidden=2, batch_size=64, seed=0))
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(str(a.dtype).encode() + str(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestTrainingBytes:
+    """train_rbm and cd_gradient pinned byte for byte at fixed seeds.
+
+    The whole-run golden covers CD-2 training only; these pin CD-1, CD-3 and
+    the gradient at k = 0, 1 and 3, so that a rewrite of the training step
+    that moves a single bit of the weights, the losses or the gradient fails.
+    """
+
+    DATA = dict(dim=12, modes=3, per_mode=40, flip_prob=0.1, seed=21)
+
+    TRAIN_GOLDEN = {
+        1: "a03b2ceaf82eb7771e0b4008708952149dff56eceb2d856fc3e0a75f4ff1d4c3",
+        3: "476c0a39d9e2281feb44c5502053dc56e86c04fc68cca620378d519f8f6132bb",
+    }
+
+    GRADIENT_GOLDEN = {
+        0: "9487814da91201599e86161ed1d54a5820fa6c0a340248e888de49dd4bb234ac",
+        1: "a5143f4261a9962422f6fb07121c74997a4c4521b78b4cc852993de5d29814f6",
+        3: "e5c0b4127bbb04e9e2615748bb2d2622f4d8744b35cab0c5e149cb80ad7b8a5f",
+    }
+
+    @pytest.mark.parametrize("cd_k", sorted(TRAIN_GOLDEN))
+    def test_train_rbm_bytes(self, cd_k):
+        data = synth_bernoulli_mixture(**self.DATA)
+        rows = data.rows.copy()
+        cfg = RbmTrainConfig(hidden=7, cd_k=cd_k, learning_rate=0.02, iterations=40, batch_size=32, seed=5)
+        model, losses = train_rbm(data, cfg)
+        assert _digest(model.W, model.c, model.b, losses) == self.TRAIN_GOLDEN[cd_k]
+        assert not any(a.flags.writeable for a in (model.W, model.c, model.b))
+        assert np.array_equal(data.rows, rows)
+
+    @pytest.mark.parametrize("k", sorted(GRADIENT_GOLDEN))
+    def test_cd_gradient_bytes(self, k, small_rbm):
+        batch = synth_bernoulli_mixture(dim=6, modes=2, per_mode=15, flip_prob=0.2, seed=22).rows
+        grads = cd_gradient(small_rbm, batch, k=k, rng=substream(23, SALT_LOW))
+        assert _digest(*grads) == self.GRADIENT_GOLDEN[k]
 
 
 class TestPersistence:
