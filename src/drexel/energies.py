@@ -136,23 +136,39 @@ class RbmFreeEnergy(EnergyModel):
         return u, np.matmul(self.W.T, _sigmoid(z)[:, :, None])[:, :, 0] + self.b
 
     def value_batch(self, xs):
-        """One matrix product for all rows (CD training's cost); rows agree with value_and_grad_batch to rounding."""
-        z = xs @ self.W.T + self.c
-        return np.logaddexp(0.0, z).sum(axis=1) + xs @ self.b
+        """One matrix product for all rows, for the oracles and exact_log_likelihood.
+
+        Rows agree with value_and_grad_batch to rounding.  CD training holds
+        the pre-activations already and calls value_from_pre_activation.
+        """
+        return self.value_from_pre_activation(xs, self.pre_activation(xs))
+
+    def pre_activation(self, v):
+        """The hidden units' inputs v @ W.T + c, one matrix product over the rows of v."""
+        return v @ self.W.T + self.c
+
+    def value_from_pre_activation(self, v, z):
+        """value_batch of the rows v from their pre_activation z, without the matrix product."""
+        return np.logaddexp(0.0, z).sum(axis=1) + v @ self.b
 
     def hidden_means(self, v):
         """P(h_j = 1 | v), vectorized over rows when v is 2-d."""
-        return _sigmoid(v @ self.W.T + self.c)
+        return _sigmoid(self.pre_activation(v))
 
     def visible_means(self, h):
         """P(v_d = 1 | h), vectorized over rows when h is 2-d."""
         return _sigmoid(h @ self.W + self.b)
 
-    def block_gibbs(self, v, rng):
-        """One block-Gibbs sweep over the rows of v: sample hidden given visible, then visible given hidden."""
+    def block_gibbs(self, v, rng, z=None):
+        """One block-Gibbs sweep over the rows of v: sample hidden given visible, then visible given hidden.
+
+        z is v's pre_activation, when the caller holds it already.
+        """
         if self.domain.kind != BINARY01:
             raise DomainError("block Gibbs runs on binary01 visible units")
-        h = (rng.random((v.shape[0], self.hidden)) < self.hidden_means(v)).astype(float)
+        if z is None:
+            z = self.pre_activation(v)
+        h = (rng.random(z.shape) < _sigmoid(z)).astype(float)
         return (rng.random(v.shape) < self.visible_means(h)).astype(float)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainSpec, embed_all
-from .energies import RbmFreeEnergy
+from .energies import RbmFreeEnergy, _sigmoid
 from .errors import DomainError
 from .rng import SALT_DATA, substream
 
@@ -74,17 +74,26 @@ def synth_bernoulli_mixture(dim: int, modes: int, per_mode: int, flip_prob: floa
 
 
 def _cd_terms(rbm: RbmFreeEnergy, batch: np.ndarray, k: int, rng: np.random.Generator):
-    """The CD-k ascent direction and the negative samples: k block-Gibbs sweeps started at the batch."""
+    """The CD-k ascent direction, then (z_data, v_model, z_model): k block-Gibbs sweeps started at the batch.
+
+    Each visible batch's pre-activation z = v @ W.T + c is computed once.  It
+    gives that batch's hidden means, the next sweep's hidden draw, and the
+    free energies the caller reads with value_from_pre_activation.
+    """
     n = batch.shape[0]
-    h_data = rbm.hidden_means(batch)
-    v_model = batch
+    z_data = rbm.pre_activation(batch)
+    h_data = _sigmoid(z_data)
+    v_model, z_model = batch, z_data
     for _ in range(k):
-        v_model = rbm.block_gibbs(v_model, rng)
-    h_model = rbm.hidden_means(v_model)
-    dW = (h_data.T @ batch - h_model.T @ v_model) / n
+        v_model = rbm.block_gibbs(v_model, rng, z_model)
+        z_model = rbm.pre_activation(v_model)
+    h_model = _sigmoid(z_model)
+    dW = h_data.T @ batch
+    dW -= h_model.T @ v_model
+    dW /= n
     dc = h_data.mean(axis=0) - h_model.mean(axis=0)
     db = batch.mean(axis=0) - v_model.mean(axis=0)
-    return (dW, dc, db), v_model
+    return (dW, dc, db), (z_data, v_model, z_model)
 
 
 def cd_gradient(rbm: RbmFreeEnergy, batch: np.ndarray, k: int, rng: np.random.Generator):
@@ -125,25 +134,38 @@ def train_rbm(dataset: BinaryDataset, config: RbmTrainConfig):
     W = rng.normal(0.0, 0.01, size=(m, d))
     c = np.zeros(m)
     b = np.zeros(d)
-    mom = [np.zeros_like(W), np.zeros_like(c), np.zeros_like(b)]
-    vel = [np.zeros_like(W), np.zeros_like(c), np.zeros_like(b)]
+    params = (W, c, b)
+    mom = [np.zeros_like(p) for p in params]
+    vel = [np.zeros_like(p) for p in params]
+    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     losses = np.empty(config.iterations)
     dom = DomainSpec.binary01(d)
     for it in range(config.iterations):
         idx = rng.integers(0, dataset.size, size=config.batch_size)
         batch = dataset.rows[idx].astype(float)
-        model = RbmFreeEnergy(domain=dom, W=W, c=c, b=b)
-        grads, v_neg = _cd_terms(model, batch, config.cd_k, rng)
-        losses[it] = model.value_batch(batch).mean() - model.value_batch(v_neg).mean()
+        # views: the model marks its arrays read-only, and the buffers are updated in place below
+        model = RbmFreeEnergy(domain=dom, W=W.view(), c=c.view(), b=b.view())
+        grads, (z_data, v_neg, z_neg) = _cd_terms(model, batch, config.cd_k, rng)
+        losses[it] = (
+            model.value_from_pre_activation(batch, z_data).mean() - model.value_from_pre_activation(v_neg, z_neg).mean()
+        )
         t = it + 1
-        params = [W, c, b]
-        for j in range(3):
-            mom[j] = ADAM_BETA1 * mom[j] + (1 - ADAM_BETA1) * grads[j]
-            vel[j] = ADAM_BETA2 * vel[j] + (1 - ADAM_BETA2) * grads[j] ** 2
-            m_hat = mom[j] / (1 - ADAM_BETA1**t)
-            v_hat = vel[j] / (1 - ADAM_BETA2**t)
-            params[j] = params[j] + config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        W, c, b = params
+        # p + lr * (mom / (1 - beta1^t)) / (sqrt(vel / (1 - beta2^t)) + eps), one rounding per operation as written
+        for p, g, mo, ve, (s1, s2) in zip(params, grads, mom, vel, scratch):
+            mo *= ADAM_BETA1
+            np.multiply(g, 1 - ADAM_BETA1, out=s1)
+            mo += s1
+            ve *= ADAM_BETA2
+            np.square(g, out=s1)
+            s1 *= 1 - ADAM_BETA2
+            ve += s1
+            np.divide(mo, 1 - ADAM_BETA1**t, out=s1)
+            s1 *= config.learning_rate
+            np.divide(ve, 1 - ADAM_BETA2**t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += ADAM_EPS
+            s1 /= s2
+            p += s1
     return RbmFreeEnergy(domain=dom, W=W, c=c, b=b), losses
 
 
