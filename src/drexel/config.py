@@ -28,10 +28,12 @@ _LEAST = (
     (None, "repeats", 1),
     ("synthetic", "grid_levels", 2),
     ("synthetic", "reference_samples", 2),  # the MMD bandwidth is their median pairwise distance
+    ("synthetic", "mmd_features", 1),
     ("ising", "side", 2),
     ("ising", "reference_steps", 1),
     ("rbm-train", "visible", 1),
     ("rbm-sample", "gibbs_burn_in", 0),
+    ("rbm-sample", "mmd_features", 1),
     ("oracle-check", "spins", 1),
     ("oracle-check", "n_max", 1),
 )
@@ -184,6 +186,9 @@ def _validate(config):
             raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")
     if config.kind == "synthetic" and config.energy not in SYNTHETIC_NAMES:
         raise ConfigError(f"unknown energy {config.energy!r}; expected one of {SYNTHETIC_NAMES}")
+    # the Ising and RBM domains have two levels; sampler._draw_init checks direct callers
+    if config.kind == "synthetic" and config.init == "bernoulli" and config.grid_levels != 2:
+        raise ConfigError("bernoulli init needs a two-level domain")
     if config.kind == "ising" and not config.coupling > 0:
         raise ConfigError("coupling must be positive")
     if config.kind == "rbm-train" and config.dataset == "synthetic" and not 0 <= config.flip_prob < 0.5:

@@ -123,11 +123,20 @@ seed = 3
 
 @pytest.mark.parametrize("prob", ["-3.0", "1.5", "nan"])
 def test_init_prob_outside_the_unit_interval_rejected(prob):
-    text = MINIMAL_SYNTHETIC + "init = bernoulli\ninit_prob = {}\n"
+    text = MINIMAL_SYNTHETIC + "grid_levels = 2\ninit = bernoulli\ninit_prob = {}\n"
     for edge in ("0.0", "1.0"):
         assert parse_config(text.format(edge)).init_prob == float(edge)
     with pytest.raises(ConfigError, match="init_prob must be in"):
         parse_config(text.format(prob))
+
+
+def test_bernoulli_init_needs_a_two_level_grid():
+    """Rejected at parse time, not after the model is built and the target enumerated."""
+    text = MINIMAL_SYNTHETIC + "init = bernoulli\n"
+    assert parse_config(text + "grid_levels = 2\n").init == "bernoulli"
+    for levels in ("3", "64"):
+        with pytest.raises(ConfigError, match="bernoulli init needs a two-level domain"):
+            parse_config(text + f"grid_levels = {levels}\n")
 
 
 # a valid config of each kind, to set one bad value in
@@ -177,10 +186,15 @@ def test_values_the_settings_objects_reject_are_config_errors(base, bad):
         ("oracle-check", "n_max = 0"),
         ("synthetic", "reference_samples = 0"),
         ("synthetic", "reference_samples = 1"),
+        ("synthetic", "mmd_features = 0"),
+        ("rbm-sample", "mmd_features = 0"),
     ],
 )
 def test_reference_and_check_lengths_rejected(base, bad):
-    """Lengths that would give a NaN metric, a vacuous pass or a burn-in that meta.txt misreports."""
+    """Lengths that would give a NaN metric, a vacuous pass, a burn-in that meta.txt misreports, or no MMD features.
+
+    Each fails at parse time, before any sampling.
+    """
     parse_config(BASES[base])
     with pytest.raises(ConfigError, match=bad.partition(" = ")[0]):
         parse_config(_set(base, bad))
