@@ -316,7 +316,8 @@ def _run_oracle_check(config: ExperimentConfig, out):
     if model.domain.num_states**2 <= 256:
         report = spectral_tv_bound_check(balanced, pair_target, n_max=config.n_max)
         lines.append(f"spectral_lambda_star = {report.lambda_star:.12f}")
-        lines.append(f"spectral_lambda0_error = {report.lambda0_error:.3e}")
+        # fixed point: eigh's eigenvalues round at the 1e-16 level by BLAS thread count
+        lines.append(f"spectral_lambda0_error = {report.lambda0_error:.12f}")
         lines.append(f"spectral_max_bound_violation = {report.max_bound_violation:.3e}")
         lines.append(f"spectral_eigenvalues = {','.join(f'{w:.9f}' for w in report.eigenvalues)}")
         ok &= report.bound_holds and report.lambda0_ok

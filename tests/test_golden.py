@@ -9,10 +9,14 @@ with the reason it moved.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import drexel
 from drexel import RunConfig, make_ising_chain, make_synthetic, run_sampler
 from drexel.config import parse_config
 from drexel.domains import DomainSpec, embed_all
@@ -274,8 +278,8 @@ seed = 1
 """
 
 REPORT_GOLDEN = {
-    2: "b78c51cd14e48ceb77f45a728c13f9cc8703c51139e597e97e0261db27c5656d",
-    4: "e08b56ae67f1bda7e0bc7ab5af33826ebe7cddd27703180685b8745daefd22ba",
+    2: "52e917100024508518120a183527d0d11754a9b0438b4a52d4cc33293a2bdaa3",
+    4: "f8873f784c4400ed6d7edbacf5bedf3ceb0595fe9893064bc524a55659b73703",
 }
 
 
@@ -287,7 +291,25 @@ def test_oracle_report_hash(spins, tmp_path):
     assert hashlib.sha256(report).hexdigest() == REPORT_GOLDEN[spins]
 
 
-MH_REPORT_GOLDEN = "4580b60e4e2b36c545b5ad7e066543a84fd0f9133bddfcce400e863dbca9ede9"
+@pytest.mark.parametrize("spins", sorted(REPORT_GOLDEN))
+def test_oracle_report_does_not_depend_on_blas_threads(spins, tmp_path):
+    """One and two BLAS threads write the golden report; BLAS reads the variable at load, so each run is a process."""
+    config = tmp_path / "check.cfg"
+    config.write_text(ORACLE_CHECK_CONFIG.format(spins=spins))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drexel.__file__)))
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "drexel.cli", "run", str(config), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256((out / "report.txt").read_bytes()).hexdigest() == REPORT_GOLDEN[spins], threads
+
+
+MH_REPORT_GOLDEN = "6beb49daf3fa1102b6836d3503fe4779ed3ade34140d6815b7f6f2d007f0794d"
 
 
 def test_oracle_report_hash_with_metropolis(tmp_path):
