@@ -136,11 +136,7 @@ class RbmFreeEnergy(EnergyModel):
         return u, np.matmul(self.W.T, _sigmoid(z)[:, :, None])[:, :, 0] + self.b
 
     def value_batch(self, xs):
-        """One matrix product for all rows, for the oracles and exact_log_likelihood.
-
-        Rows agree with value_and_grad_batch to rounding.  CD training holds
-        the pre-activations already and calls value_from_pre_activation.
-        """
+        """One matrix product for all rows (oracles, exact_log_likelihood); rows agree with value_and_grad_batch to rounding."""
         return self.value_from_pre_activation(xs, self.pre_activation(xs))
 
     def pre_activation(self, v):
@@ -148,7 +144,7 @@ class RbmFreeEnergy(EnergyModel):
         return v @ self.W.T + self.c
 
     def value_from_pre_activation(self, v, z):
-        """value_batch of the rows v from their pre_activation z, without the matrix product."""
+        """value_batch of the rows v from their pre_activation z, which CD training holds already."""
         return np.logaddexp(0.0, z).sum(axis=1) + v @ self.b
 
     def hidden_means(self, v):
@@ -162,7 +158,7 @@ class RbmFreeEnergy(EnergyModel):
     def block_gibbs(self, v, rng, z=None):
         """One block-Gibbs sweep over the rows of v: sample hidden given visible, then visible given hidden.
 
-        z is v's pre_activation, when the caller holds it already.
+        z is v's pre_activation, if the caller holds it.
         """
         if self.domain.kind != BINARY01:
             raise DomainError("block Gibbs runs on binary01 visible units")
