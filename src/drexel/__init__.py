@@ -14,11 +14,8 @@ from .sampler import (
     RunConfig,
     RunTrace,
     SwapConfig,
-    binary_flip_probs,
-    proposal_logits,
     run_batch,
     run_sampler,
-    swap_probability,
 )
 
 __version__ = "0.1.0"
@@ -32,13 +29,10 @@ __all__ = [
     "RunTrace",
     "SwapConfig",
     "Synthetic2D",
-    "binary_flip_probs",
     "embed",
     "make_ising_chain",
     "make_ising_lattice",
     "make_synthetic",
-    "proposal_logits",
     "run_batch",
     "run_sampler",
-    "swap_probability",
 ]

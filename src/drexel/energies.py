@@ -40,12 +40,6 @@ class EnergyModel(ABC):
         """U over the rows of xs."""
         return self.value_and_grad_batch(xs)[0]
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.value_batch(np.asarray(x, dtype=float)[None, :])[0])
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad_batch(np.asarray(x, dtype=float)[None, :])[1][0]
-
 
 @dataclass(frozen=True)
 class QuadraticEnergy(EnergyModel):
@@ -72,10 +66,13 @@ class QuadraticEnergy(EnergyModel):
             raise DomainError(f"J has shape {J.shape}, expected ({d}, {d})")
         if b.shape != (d,):
             raise DomainError(f"b has shape {b.shape}, expected ({d},)")
+        for name, a in (("J", J), ("b", b)):
+            if not np.isfinite(a).all():
+                raise DomainError(f"{name} has {int(np.count_nonzero(~np.isfinite(a)))} non-finite entries")
         if not np.array_equal(J, J.T):
             raise DomainError("J must be symmetric")
-        if not self.w > 0:
-            raise DomainError(f"connectivity strength w must be positive, got {self.w}")
+        if not 0 < self.w < np.inf:
+            raise DomainError(f"connectivity strength w must be positive and finite, got {self.w}")
         rows, cols = np.nonzero(J)  # row-major, so each row's columns come in index order
         counts = np.bincount(rows, minlength=d)
         slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]  # position within its row
@@ -135,21 +132,13 @@ class RbmFreeEnergy(EnergyModel):
         u = np.logaddexp(0.0, z).sum(axis=1) + np.vecdot(xs, self.b)
         return u, np.matmul(self.W.T, _sigmoid(z)[:, :, None])[:, :, 0] + self.b
 
-    def value_batch(self, xs):
-        """One matrix product for all rows (oracles, exact_log_likelihood); rows agree with value_and_grad_batch to rounding."""
-        return self.value_from_pre_activation(xs, self.pre_activation(xs))
-
     def pre_activation(self, v):
         """The hidden units' inputs v @ W.T + c, one matrix product over the rows of v."""
         return v @ self.W.T + self.c
 
     def value_from_pre_activation(self, v, z):
-        """value_batch of the rows v from their pre_activation z, which CD training holds already."""
+        """U of the rows v from their pre_activation z, which CD training holds already; value_batch to rounding."""
         return np.logaddexp(0.0, z).sum(axis=1) + v @ self.b
-
-    def hidden_means(self, v):
-        """P(h_j = 1 | v), vectorized over rows when v is 2-d."""
-        return _sigmoid(self.pre_activation(v))
 
     def visible_means(self, h):
         """P(v_d = 1 | h), vectorized over rows when h is 2-d."""

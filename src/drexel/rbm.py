@@ -32,8 +32,8 @@ class RbmTrainConfig:
     def __post_init__(self):
         if self.hidden < 1 or self.cd_k < 1 or self.iterations < 0 or self.batch_size < 1:
             raise DomainError("hidden, cd_k, batch_size must be positive; iterations nonnegative")
-        if self.learning_rate <= 0:
-            raise DomainError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise DomainError(f"learning rate must be positive and finite, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .domains import BINARY01, SPIN_PM1, DomainSpec
-from .energies import EnergyModel, _sigmoid
+from .domains import DomainSpec
+from .energies import EnergyModel
 from .errors import DomainError, NumericError
 from .rng import SALT_HIGH, SALT_LOW, SALT_SWAP, substream
 
@@ -89,28 +89,14 @@ class SwapConfig:
             raise DomainError(f"unknown swap variant {self.variant!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"swap intensity rho must be in [0, 1], got {self.rho}")
-        if self.sigma2 < 0:
-            raise DomainError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise DomainError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
 
 
 def _logits(x: np.ndarray, g: np.ndarray, values: np.ndarray, alpha, tau) -> np.ndarray:
     """(..., dim, levels) proposal logits at embedded states x with gradients g; alpha, tau broadcast per chain."""
     diff = values - x[..., None]
     return g[..., None] / (2.0 * tau) * diff - diff**2 / (2.0 * alpha)
-
-
-def proposal_logits(model: EnergyModel, state: np.ndarray, params: ChainParams, coord: int) -> np.ndarray:
-    """Unnormalized log proposal weights for one coordinate's value set."""
-    domain = model.domain
-    if not 0 <= coord < domain.dim:
-        raise DomainError(f"coordinate {coord} out of range for dim {domain.dim}")
-    return _all_logits(model, domain.validate_state(state), params)[coord]
-
-
-def _all_logits(model, state, params):
-    """(dim, levels) logit matrix; row d is proposal_logits for coordinate d."""
-    x = model.domain.value_table[state]
-    return _logits(x, model.gradient(x), model.domain.value_table, params.alpha, params.tau)
 
 
 def _log_softmax(logits):
@@ -137,7 +123,12 @@ def _accepts(log_a, u):
 
 
 def _swap_probs(swap: SwapConfig, tau1, tau2, u_next1, u_next2, u_prev1, u_prev2):
-    """rho * min(1, S) elementwise over pairs of chains; see swap_probability."""
+    """Probability of exchanging two chains' states, rho * min(1, S), elementwise over pairs of chains.
+
+    bias_corrected  S = exp[(1/tau2 - 1/tau1) (U1 - U2 - (1/tau2 - 1/tau1) sigma2)],
+                    the naive swap at sigma2 = 0
+    history         uses U1 + U1_prev - U2 - U2_prev in place of U1 - U2
+    """
     beta = 1.0 / tau2 - 1.0 / tau1
     if swap.variant == BIAS_CORRECTED:
         exponent = beta * (u_next1 - u_next2 - beta * swap.sigma2)
@@ -173,9 +164,9 @@ class _Kernel:
     mh_enabled raise DomainError.
 
     With a swap configuration the rows form replica pairs, row 2p the low
-    and row 2p + 1 the high chain of pair p.  Every public step function and
-    both run functions go through this class.  States handed to it must be
-    in range; the public entry points validate them.
+    and row 2p + 1 the high chain of pair p.  Both run functions and the
+    oracles' kernels go through this class.  States handed to it must be in
+    range; they come from _draw_init or all_states.
     """
 
     def __init__(self, model: EnergyModel, params, swap: Optional[SwapConfig] = None):
@@ -309,38 +300,6 @@ class _Kernel:
         logp = chains.logp.copy()
         logp[rows] = self.table(states[rows], energy[rows], grad[rows], rows)
         return _Chains(states, energy, grad, logp), swapped
-
-
-def binary_flip_probs(model: EnergyModel, state: np.ndarray, params: ChainParams) -> np.ndarray:
-    """Closed-form per-coordinate flip probabilities for two-level domains."""
-    domain = model.domain
-    if domain.kind not in (BINARY01, SPIN_PM1):
-        raise DomainError(f"binary_flip_probs needs a two-level domain, got {domain.kind}")
-    state = domain.validate_state(state)
-    logits = _all_logits(model, state, params)
-    # two-category softmax against the zero stay-logit is a sigmoid
-    return _sigmoid(logits[np.arange(domain.dim), 1 - state])
-
-
-def swap_probability(
-    config: SwapConfig,
-    tau1: float,
-    tau2: float,
-    u_next1: float,
-    u_next2: float,
-    u_prev1: float,
-    u_prev2: float,
-) -> float:
-    """Probability of exchanging the two chains' states: rho * min(1, S).
-
-    bias_corrected  S = exp[(1/tau2 - 1/tau1) (U1 - U2 - (1/tau2 - 1/tau1) sigma2)],
-                    the naive swap at sigma2 = 0
-    history         uses U1 + U1_prev - U2 - U2_prev in place of U1 - U2
-    """
-    for u in (u_next1, u_next2, u_prev1, u_prev2):
-        if not np.isfinite(u):
-            raise NumericError(f"swap probability needs finite energies, got {u}")
-    return float(_swap_probs(config, tau1, tau2, u_next1, u_next2, u_prev1, u_prev2))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from drexel import (
     ChainParams,
     RunConfig,
     SwapConfig,
-    binary_flip_probs,
     make_ising_chain,
     make_ising_lattice,
     make_synthetic,
@@ -53,7 +52,7 @@ from drexel.oracle import (
 )
 from drexel.rbm import RbmTrainConfig, synth_bernoulli_mixture, train_rbm
 from drexel.rng import SALT_REFERENCE, SALT_TRUTH, substream
-from drexel.sampler import _all_logits, _log_softmax
+from drexel.sampler import _Kernel
 
 from conftest import gradient_matches_fd
 
@@ -204,7 +203,11 @@ def test_criterion_5_gradient_fidelity():
 
 
 def test_criterion_6_closed_form_equivalence():
-    """binary_flip_probs vs categorical softmax on 1000 random states per domain."""
+    """The kernel's flip probabilities vs the closed-form sigmoid on 1000 random states per domain.
+
+    Flipping coordinate d moves it by diff = v' - x_d, and the stay logit is
+    0, so the two-category softmax is sigmoid(g_d / (2 tau) diff - diff^2 / (2 alpha)).
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(55)
     worst = 0.0
@@ -215,15 +218,17 @@ def test_criterion_6_closed_form_equivalence():
         J = J + J.T
         model = QuadraticEnergy(domain=dom, J=J, b=rng.normal(size=8), w=0.2)
         params = ChainParams(alpha=0.7, tau=1.3)
-        for _ in range(1000):
-            state = rng.integers(0, 2, size=8)
-            closed = binary_flip_probs(model, state, params)
-            probs = np.exp(_log_softmax(_all_logits(model, state, params)))
-            flip = probs[np.arange(8), 1 - state]
-            worst = max(worst, float(np.abs(flip - closed).max()))
+        states = rng.integers(0, 2, size=(1000, 8))
+        probs = np.exp(_Kernel(model, [params] * 1000).evaluate(states).logp)
+        flip = np.take_along_axis(probs, (1 - states)[:, :, None], axis=2)[:, :, 0]
+        x = dom.value_table[states]
+        diff = dom.value_table[1 - states] - x
+        logit = model.value_and_grad_batch(x)[1] / (2 * params.tau) * diff - diff**2 / (2 * params.alpha)
+        closed = 1 / (1 + np.exp(-logit))
+        worst = max(worst, float(np.abs(flip - closed).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
-    _record(6, ok, f"max |closed form - softmax| {worst:.2e} over 2000 states (<= 1e-12), {elapsed:.2f}s")
+    _record(6, ok, f"max |closed form - kernel table| {worst:.2e} over 2000 states (<= 1e-12), {elapsed:.2f}s")
     assert worst <= 1e-12
     assert elapsed < 1.0
 

@@ -165,8 +165,12 @@ def _set(base, line):
         ("replica", "tau_high = -1"),
         ("replica", "rho = 2"),
         ("replica", "sigma2 = -1"),
+        ("replica", "sigma2 = nan"),
+        ("replica", "sigma2 = inf"),
         ("rbm-train", "cd_k = 0"),
         ("rbm-train", "learning_rate = 0"),
+        ("rbm-train", "learning_rate = nan"),
+        ("rbm-train", "learning_rate = inf"),
         ("rbm-train", "batch_size = 0"),
         ("oracle-check", "alpha = 0"),
     ],

@@ -31,16 +31,26 @@ from test_golden import trace_digest
 
 class TestQuadratic:
     def test_two_spin_value(self, two_spin_ising):
-        assert two_spin_ising.value(embed(np.array([1, 1]), two_spin_ising.domain)) == pytest.approx(0.3, abs=1e-15)
+        u = two_spin_ising.value_batch(embed(np.array([1, 1]), two_spin_ising.domain)[None, :])
+        assert u[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_two_spin_gradient(self, two_spin_ising):
-        g = two_spin_ising.gradient(embed(np.array([1, 1]), two_spin_ising.domain))
-        assert np.allclose(g, [0.3, 0.3], atol=1e-15)
+        g = two_spin_ising.value_and_grad_batch(embed(np.array([1, 1]), two_spin_ising.domain)[None, :])[1]
+        assert np.allclose(g[0], [0.3, 0.3], atol=1e-15)
 
     def test_asymmetric_matrix_rejected(self):
         dom = DomainSpec.spin_pm1(2)
         with pytest.raises(DomainError):
             QuadraticEnergy(domain=dom, J=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["J", "b", "w"])
+    def test_non_finite_parameters_rejected(self, where, bad):
+        """A NaN or infinite coupling, field or strength fails when the model is built, not when it is first run."""
+        params = dict(J=np.array([[0.0, 1.0], [1.0, 0.0]]), b=np.zeros(2), w=0.5)
+        params[where] = {"J": np.array([[0.0, bad], [bad, 0.0]]), "b": np.array([0.0, bad]), "w": bad}[where]
+        with pytest.raises(DomainError, match="finite"):
+            QuadraticEnergy(domain=DomainSpec.spin_pm1(2), **params)
 
     @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
     @settings(max_examples=50)
@@ -55,8 +65,9 @@ class TestQuadratic:
         to_state = lambda k: np.array([(k >> d) & 1 for d in range(n)])
         x = model.domain.value_table[to_state(i % 2**n)]
         y = model.domain.value_table[to_state(j % 2**n)]
-        lhs = model.value(y) - model.value(x)
-        rhs = model.gradient(x) @ (y - x) + model.w * (y - x) @ J @ (y - x)
+        u, g = model.value_and_grad_batch(np.stack([x, y]))
+        lhs = u[1] - u[0]
+        rhs = g[0] @ (y - x) + model.w * (y - x) @ J @ (y - x)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -64,18 +75,19 @@ class TestRbm:
     def test_zero_weights_value(self):
         dom = DomainSpec.binary01(4)
         model = RbmFreeEnergy(domain=dom, W=np.zeros((8, 4)), c=np.zeros(8), b=np.zeros(4))
-        assert model.value(embed(np.array([1, 0, 1, 0]), model.domain)) == pytest.approx(8 * np.log(2), rel=1e-12)
+        u = model.value_batch(embed(np.array([1, 0, 1, 0]), model.domain)[None, :])
+        assert u[0] == pytest.approx(8 * np.log(2), rel=1e-12)
 
     def test_zero_weights_gradient_is_bias(self):
         dom = DomainSpec.binary01(3)
         b = np.array([0.5, -1.0, 2.0])
         model = RbmFreeEnergy(domain=dom, W=np.zeros((2, 3)), c=np.zeros(2), b=b)
-        assert np.allclose(model.gradient(embed(np.array([0, 1, 0]), model.domain)), b)
+        assert np.allclose(model.value_and_grad_batch(embed(np.array([0, 1, 0]), model.domain)[None, :])[1][0], b)
 
     def test_softplus_overflow_safe(self):
         dom = DomainSpec.binary01(2)
         model = RbmFreeEnergy(domain=dom, W=np.zeros((2, 2)), c=np.array([1e4, -1e4]), b=np.zeros(2))
-        u = model.value(embed(np.array([0, 0]), model.domain))
+        u = model.value_batch(np.zeros((1, 2)))[0]
         assert np.isfinite(u)
         assert u == pytest.approx(1e4, rel=1e-10)  # softplus(1e4) + softplus(-1e4)
 
@@ -84,23 +96,24 @@ class TestRbm:
         values = []
         for c in (-1e4, -10.0, 0.0, 10.0, 1e4):
             model = RbmFreeEnergy(domain=dom, W=np.zeros((1, 1)), c=np.array([c]), b=np.zeros(1))
-            values.append(model.value(np.zeros(1)))
+            values.append(model.value_batch(np.zeros((1, 1)))[0])
         assert np.all(np.diff(values) > 0)
 
 
 class TestSynthetic:
     def test_sixteen_gaussian_origin(self):
         model = make_synthetic("16gaussian", levels=64, c=2.0)
-        assert model.value(np.zeros(2)) == pytest.approx(-4.0, abs=1e-12)
+        assert model.value_batch(np.zeros((1, 2)))[0] == pytest.approx(-4.0, abs=1e-12)
 
     def test_wave_gradient_at_origin(self):
         model = make_synthetic("wave", levels=64)
-        assert np.allclose(model.gradient(np.zeros(2)), [0.0, 0.0])
+        assert np.allclose(model.value_and_grad_batch(np.zeros((1, 2)))[1][0], [0.0, 0.0])
 
     def test_flower_origin_assigned_limit(self):
         model = make_synthetic("flower", levels=65)  # odd grid contains the exact origin
-        assert model.value(np.zeros(2)) == 1.0
-        assert np.allclose(model.gradient(np.zeros(2)), [1.0, 0.0])
+        u, g = model.value_and_grad_batch(np.zeros((1, 2)))
+        assert u[0] == 1.0
+        assert np.allclose(g[0], [1.0, 0.0])
 
     def test_sixteen_gaussian_modes_on_half_integers(self):
         model = make_synthetic("16gaussian", levels=256, c=2.0)
@@ -118,7 +131,7 @@ class TestSynthetic:
         for name in SYNTHETIC_NAMES:
             model = make_synthetic(name, levels=64)
             batch = model.value_batch(pts)
-            scalar = np.array([model.value(p) for p in pts])
+            scalar = np.array([model.value_batch(p[None, :])[0] for p in pts])
             assert np.allclose(batch, scalar, atol=1e-12), name
 
     def test_unknown_name_rejected(self):
@@ -215,23 +228,12 @@ def _value_and_grad_models():
 
 @pytest.mark.parametrize("model", list(_value_and_grad_models()), ids=lambda m: type(m).__name__)
 def test_value_and_grad_is_value_and_gradient_bit_for_bit(model):
-    """value, gradient and value_batch derive from the one definition and must not change a single bit.
-
-    The exception is RBM value_batch, one matrix product over all rows: bit
-    for bit on one row, equal to rounding on several.
-    """
+    """value_batch derives from the one definition and must not change a single bit, on one row or on many."""
     rng = np.random.default_rng(3)
     xs = model.domain.value_table[rng.integers(0, model.domain.levels, size=(20, model.domain.dim))]
     for x in xs:
-        u, g = model.value_and_grad_batch(x[None, :])
-        assert model.value(x) == u[0]
-        assert np.array_equal(model.gradient(x), g[0])
-        assert np.array_equal(model.value_batch(x[None, :]), u)
-    u = model.value_and_grad_batch(xs)[0]
-    if isinstance(model, RbmFreeEnergy):
-        assert np.allclose(model.value_batch(xs), u, rtol=1e-12, atol=0.0)
-    else:
-        assert np.array_equal(model.value_batch(xs), u)
+        assert np.array_equal(model.value_batch(x[None, :]), model.value_and_grad_batch(x[None, :])[0])
+    assert np.array_equal(model.value_batch(xs), model.value_and_grad_batch(xs)[0])
 
 
 def _row_invariant_models():

@@ -358,6 +358,22 @@ def test_sampler_values_checked_before_model_work(tmp_path, monkeypatch, kind, b
         run_experiment(cfg, out=str(tmp_path / "out"))
 
 
+@pytest.mark.parametrize("bad", ["field = nan", "field = inf", "coupling = inf"])
+def test_non_finite_ising_model_rejected_before_the_reference(tmp_path, monkeypatch, bad):
+    """The model build rejects a non-finite field or coupling; the heat-bath reference never starts."""
+    from drexel import harness
+
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference started before the model was checked")
+
+    monkeypatch.setattr(harness, "_magnetization_truth", no_reference)
+    cfg = parse_config(
+        f"kind = ising\nside = 6\nreference_steps = 20000\nsampler = dmala\nalpha = 0.1\niterations = 10\nseed = 1\n{bad}\n"
+    )
+    with pytest.raises(DomainError, match="finite"):
+        run_experiment(cfg, out=str(tmp_path))
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run(

@@ -33,7 +33,7 @@ from drexel.oracle import (
     tempered_pair_pmf,
 )
 from drexel.rng import SALT_LOW, SALT_REFERENCE, substream
-from drexel.sampler import swap_probability
+from drexel.sampler import _swap_probs
 
 from conftest import random_coupling
 from test_sampler import binomial_pvalues
@@ -225,7 +225,8 @@ class TestJointKernel:
         K = exact_joint_kernel(two_spin_ising, self.low, self.high, SwapConfig(variant="history", rho=1.0))
         assert K.matrix.min() > 0
 
-    def test_swap_grid_matches_swap_probability(self, two_spin_ising):
+    def test_swap_grid_matches_the_pairwise_swap_probs(self, two_spin_ising):
+        """Each grid entry is the swap probability of its previous states (x1, x2) and next states (w1, w2)."""
         u = two_spin_ising.value_batch(embed_all(two_spin_ising.domain))
         for variant, sigma2 in (("bias_corrected", 0.0), ("bias_corrected", 1.3), ("history", 0.0)):
             cfg = SwapConfig(variant=variant, rho=0.8, sigma2=sigma2)
@@ -234,7 +235,7 @@ class TestJointKernel:
                 for x2 in range(4):
                     for w1 in range(4):
                         for w2 in range(4):
-                            direct = swap_probability(cfg, 1.0, 2.0, u[w1], u[w2], u[x1], u[x2])
+                            direct = _swap_probs(cfg, 1.0, 2.0, u[w1], u[w2], u[x1], u[x2])
                             assert grid[x1, x2, w1, w2] == pytest.approx(direct, abs=1e-15)
 
     @pytest.mark.xfail(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from drexel.domains import DomainSpec, embed_all
-from drexel.energies import RbmFreeEnergy
+from drexel.energies import RbmFreeEnergy, _sigmoid
 from drexel.errors import DomainError
 from drexel.oracle import enumerate_target
 from drexel.rbm import (
@@ -96,9 +96,9 @@ class TestCdGradient:
         data = np.array([[1, 0, 1, 0, 1, 1], [0, 1, 1, 0, 0, 1], [1, 1, 0, 0, 1, 0]])
         pi = enumerate_target(small_rbm)
         xs = embed_all(small_rbm.domain)
-        h_all = small_rbm.hidden_means(xs)
+        h_all = _sigmoid(small_rbm.pre_activation(xs))
         exact_neg_W = (h_all * pi.p[:, None]).T @ xs
-        h_data = small_rbm.hidden_means(data.astype(float))
+        h_data = _sigmoid(small_rbm.pre_activation(data.astype(float)))
         exact_dW = h_data.T @ data / data.shape[0] - exact_neg_W
         big_batch = np.tile(data, (3334, 1))[:10_000]
         dW, _, _ = cd_gradient(small_rbm, big_batch.astype(float), k=50, rng=substream(3, SALT_LOW))
@@ -204,10 +204,9 @@ class TestPersistence:
         path = tmp_path / "weights.bin"
         save_rbm(small_rbm, path)
         loaded = load_rbm(path)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            state = rng.integers(0, 2, size=6).astype(float)
-            assert loaded.value(state) == small_rbm.value(state)
+        states = np.random.default_rng(0).integers(0, 2, size=(100, 6)).astype(float)
+        for got, expected in zip(loaded.value_and_grad_batch(states), small_rbm.value_and_grad_batch(states)):
+            assert np.array_equal(got, expected)
 
     def test_corrupted_magic(self, tmp_path, small_rbm):
         path = tmp_path / "weights.bin"

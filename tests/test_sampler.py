@@ -15,19 +15,16 @@ from drexel import (
     ChainParams,
     RunConfig,
     SwapConfig,
-    binary_flip_probs,
     make_ising_chain,
     make_synthetic,
-    proposal_logits,
     run_batch,
     run_sampler,
-    swap_probability,
 )
 from drexel.domains import DomainSpec
 from drexel.energies import EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
-from drexel.sampler import _accepts, _Chains, _Kernel, _log_softmax, _logits
+from drexel.sampler import _accepts, _Chains, _Kernel, _log_softmax, _logits, _swap_probs
 from test_golden import GOLDEN, golden_config, trace_digest
 
 
@@ -36,9 +33,11 @@ def zero_gradient_model(domain):
     return QuadraticEnergy(domain=domain, J=np.zeros((d, d)), b=np.zeros(d), w=1.0)
 
 
-def softmax(logits):
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
+def expected_logits(model, states, params):
+    """(K, dim, levels) proposal logits at the (K, dim) value indices states, built here from the model's gradient."""
+    values = model.domain.value_table
+    x = values[states]
+    return _logits(x, model.value_and_grad_batch(x)[1], values, params.alpha, params.tau)
 
 
 def one_chain(model, state, params):
@@ -54,31 +53,30 @@ def propose(kernel, chains, rng):
 
 
 class TestProposalLogits:
+    """Hand values of the logits and of the kernel's proposal probabilities."""
+
     def test_ordinal_three_levels_stay_probability(self):
         dom = DomainSpec.ordinal_grid(1, levels=3, lo=-1.0, hi=1.0)
         model = zero_gradient_model(dom)
-        logits = proposal_logits(model, np.array([1]), ChainParams(alpha=2.0, tau=1.0), coord=0)
-        assert np.allclose(logits, [-0.25, 0.0, -0.25])
-        assert softmax(logits)[1] == pytest.approx(1 / (1 + 2 * np.exp(-0.25)), abs=1e-12)
+        params = ChainParams(alpha=2.0, tau=1.0)
+        _, chains = one_chain(model, np.array([1]), params)
+        assert np.allclose(expected_logits(model, chains.states, params)[0, 0], [-0.25, 0.0, -0.25])
+        assert np.exp(chains.logp[0, 0, 1]) == pytest.approx(1 / (1 + 2 * np.exp(-0.25)), abs=1e-12)
 
     def test_binary_flip_probability_with_gradient(self):
         dom = DomainSpec.binary01(1)
         model = QuadraticEnergy(domain=dom, J=np.zeros((1, 1)), b=np.array([2.0]), w=1.0)
-        logits = proposal_logits(model, np.array([0]), ChainParams(alpha=1.0, tau=1.0), coord=0)
-        p = softmax(logits)
-        assert p[1] == pytest.approx(1 / (1 + np.exp(-0.5)), abs=1e-12)  # sigma(0.5) ~ 0.62246
+        _, chains = one_chain(model, np.array([0]), ChainParams(alpha=1.0, tau=1.0))
+        assert np.exp(chains.logp[0, 0, 1]) == pytest.approx(1 / (1 + np.exp(-0.5)), abs=1e-12)  # sigma(0.5) ~ 0.62246
 
     def test_spin_flip_distance_two(self):
         dom = DomainSpec.spin_pm1(1)
         model = zero_gradient_model(dom)
-        logits = proposal_logits(model, np.array([0]), ChainParams(alpha=2.0, tau=1.0), coord=0)
+        params = ChainParams(alpha=2.0, tau=1.0)
+        _, chains = one_chain(model, np.array([0]), params)
+        logits = expected_logits(model, chains.states, params)[0, 0]
         assert logits[1] - logits[0] == pytest.approx(-1.0, abs=1e-12)
-        assert softmax(logits)[1] == pytest.approx(1 / (1 + np.e), abs=1e-12)  # sigma(-1) ~ 0.26894
-
-    def test_coordinate_out_of_range(self):
-        dom = DomainSpec.binary01(2)
-        with pytest.raises(DomainError):
-            proposal_logits(zero_gradient_model(dom), np.array([0, 0]), ChainParams(alpha=1.0), coord=2)
+        assert np.exp(chains.logp[0, 0, 1]) == pytest.approx(1 / (1 + np.e), abs=1e-12)  # sigma(-1) ~ 0.26894
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30)
@@ -87,46 +85,24 @@ class TestProposalLogits:
         dom = DomainSpec.ordinal_grid(3, levels=7, lo=-2, hi=2)
         J = np.zeros((3, 3))
         model = QuadraticEnergy(domain=dom, J=J, b=rng.normal(size=3), w=1.0)
-        state = rng.integers(0, 7, size=3)
-        for coord in range(3):
-            p = softmax(proposal_logits(model, state, ChainParams(alpha=0.5), coord))
-            assert abs(p.sum() - 1.0) <= 1e-12
+        _, chains = one_chain(model, rng.integers(0, 7, size=3), ChainParams(alpha=0.5))
+        assert np.abs(np.exp(chains.logp[0]).sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestBinaryFlipProbs:
+    """The kernel's flip probabilities on two-level domains against their closed form."""
+
     def test_zero_gradient_closed_form(self):
-        dom = DomainSpec.binary01(4)
-        p = binary_flip_probs(zero_gradient_model(dom), np.zeros(4, dtype=int), ChainParams(alpha=1.0))
+        state = np.zeros(4, dtype=int)
+        _, chains = one_chain(zero_gradient_model(DomainSpec.binary01(4)), state, ChainParams(alpha=1.0))
+        p = np.exp(chains.logp[0, np.arange(4), 1 - state])
         assert np.allclose(p, 1 / (1 + np.exp(0.5)), atol=1e-15)  # sigma(-1/2) ~ 0.37754
 
     def test_huge_step_size_limits_to_half(self):
-        dom = DomainSpec.spin_pm1(3)
-        p = binary_flip_probs(zero_gradient_model(dom), np.zeros(3, dtype=int), ChainParams(alpha=1e12))
+        state = np.zeros(3, dtype=int)
+        _, chains = one_chain(zero_gradient_model(DomainSpec.spin_pm1(3)), state, ChainParams(alpha=1e12))
+        p = np.exp(chains.logp[0, np.arange(3), 1 - state])
         assert np.allclose(p, 0.5, atol=1e-11)
-
-    @pytest.mark.parametrize("kind", ["binary01", "spin_pm1"])
-    def test_agrees_with_categorical_softmax(self, kind):
-        """Closed form vs the generic two-category softmax, 1000 random states."""
-        rng = np.random.default_rng(23)
-        dom = DomainSpec.binary01(8) if kind == "binary01" else DomainSpec.spin_pm1(8)
-        J = rng.integers(0, 2, size=(8, 8)).astype(float)
-        J = np.triu(J, 1)
-        J = J + J.T
-        model = QuadraticEnergy(domain=dom, J=J, b=rng.normal(size=8), w=0.2)
-        params = ChainParams(alpha=0.7, tau=1.3)
-        worst = 0.0
-        for _ in range(1000):
-            state = rng.integers(0, 2, size=8)
-            closed = binary_flip_probs(model, state, params)
-            for d in range(8):
-                p = softmax(proposal_logits(model, state, params, d))
-                worst = max(worst, abs(p[1 - state[d]] - closed[d]))
-        assert worst <= 1e-12
-
-    def test_ordinal_domain_rejected(self):
-        dom = DomainSpec.ordinal_grid(2, levels=5, lo=0, hi=1)
-        with pytest.raises(DomainError):
-            binary_flip_probs(zero_gradient_model(dom), np.zeros(2, dtype=int), ChainParams(alpha=1.0))
 
 
 class TestDlsStep:
@@ -135,10 +111,8 @@ class TestDlsStep:
         model = zero_gradient_model(dom)
         params = ChainParams(alpha=1e-9)
         state = np.array([4, 4])
-        for coord in range(2):
-            p = softmax(proposal_logits(model, state, params, coord))
-            assert p[state[coord]] >= 1 - 1e-6
         kernel, chains = one_chain(model, state, params)
+        assert (np.exp(chains.logp[0, np.arange(2), state]) >= 1 - 1e-6).all()
         rng = substream(0, SALT_LOW)
         for _ in range(100):
             assert np.array_equal(propose(kernel, chains, rng)[0], state)
@@ -171,16 +145,9 @@ class TestDlsStep:
         params = ChainParams(alpha=0.4, tau=1.0, mh_enabled=True)
         state = np.array([0, 1])
         proposal, forward_logq, reverse_logq = propose(*one_chain(model, state, params), substream(3, SALT_LOW))
-        expected = 0.0
-        for d in range(2):
-            p = softmax(proposal_logits(model, state, params, d))
-            expected += np.log(p[proposal[d]])
-        assert forward_logq == pytest.approx(expected, abs=1e-12)
-        rev = 0.0
-        for d in range(2):
-            p = softmax(proposal_logits(model, proposal, params, d))
-            rev += np.log(p[state[d]])
-        assert reverse_logq == pytest.approx(rev, abs=1e-12)
+        logp = _log_softmax(expected_logits(model, np.stack([state, proposal]), params))
+        assert forward_logq == pytest.approx(logp[0, np.arange(2), proposal].sum(), abs=1e-12)
+        assert reverse_logq == pytest.approx(logp[1, np.arange(2), state].sum(), abs=1e-12)
 
 
     def test_reverse_logq_is_nan_without_metropolis(self):
@@ -211,12 +178,9 @@ class TestMhAccept:
         params = ChainParams(alpha=0.5, tau=2.0, mh_enabled=True)
         state = np.array([0, 1])  # U = -0.3
         proposal = np.array([1, 1])  # U = +0.3 -> downhill in -U, accepted always
-        fwd = rev = 0.0
-        for d in range(2):
-            p_f = softmax(proposal_logits(two_spin_ising, state, params, d))
-            p_r = softmax(proposal_logits(two_spin_ising, proposal, params, d))
-            fwd += np.log(p_f[proposal[d]])
-            rev += np.log(p_r[state[d]])
+        logp = _log_softmax(expected_logits(two_spin_ising, np.stack([state, proposal]), params))
+        fwd = logp[0, np.arange(2), proposal].sum()
+        rev = logp[1, np.arange(2), state].sum()
         log_a = (0.3 - (-0.3)) / params.tau + rev - fwd
         # reverse direction: energy decreases, acceptance < 1
         log_a_rev = ((-0.3) - 0.3) / params.tau + fwd - rev
@@ -231,16 +195,16 @@ class TestMhAccept:
 class TestSwapProbability:
     def test_equal_energies_history(self):
         cfg = SwapConfig(variant="history", rho=1.0)
-        assert swap_probability(cfg, 1.0, 2.0, -5.0, -5.0, -5.0, -5.0) == 1.0
+        assert _swap_probs(cfg, 1.0, 2.0, -5.0, -5.0, -5.0, -5.0) == 1.0
 
     def test_history_hand_value(self):
         cfg = SwapConfig(variant="history", rho=1.0)
-        p = swap_probability(cfg, 1.0, 2.0, -1.0, -3.0, -1.0, -3.0)
+        p = _swap_probs(cfg, 1.0, 2.0, -1.0, -3.0, -1.0, -3.0)
         assert p == pytest.approx(np.exp(-2.0), abs=1e-12)
 
     def test_naive_hand_value(self):
         cfg = SwapConfig(variant="bias_corrected", rho=1.0, sigma2=0.0)  # the naive swap
-        p = swap_probability(cfg, 1.0, 2.0, -1.0, -3.0, 0.0, 0.0)
+        p = _swap_probs(cfg, 1.0, 2.0, -1.0, -3.0, 0.0, 0.0)
         assert p == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_bias_corrected_reduces_to_naive_at_zero_sigma(self):
@@ -248,13 +212,13 @@ class TestSwapProbability:
         bias = SwapConfig(variant="bias_corrected", rho=0.7, sigma2=0.0)
         args = (1.0, 3.0, -2.0, -1.0, 0.5, 0.25)
         beta = 1.0 / 3.0 - 1.0 / 1.0
-        assert swap_probability(bias, *args) == 0.7 * np.exp(min(beta * (-2.0 - -1.0), 0.0))
+        assert _swap_probs(bias, *args) == 0.7 * np.exp(min(beta * (-2.0 - -1.0), 0.0))
 
     def test_bias_correction_shifts_exponent(self):
         cfg = SwapConfig(variant="bias_corrected", rho=1.0, sigma2=2.0)
         beta = 1.0 / 2.0 - 1.0 / 1.0
         expected = min(1.0, np.exp(beta * (1.0 - beta * 2.0)))
-        assert swap_probability(cfg, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0) == pytest.approx(expected, abs=1e-14)
+        assert _swap_probs(cfg, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0) == pytest.approx(expected, abs=1e-14)
 
     @given(
         st.floats(0.1, 5), st.floats(0.1, 5),
@@ -264,18 +228,13 @@ class TestSwapProbability:
     def test_history_time_reversal_symmetry(self, t1, t2, un1, un2, up1, up2):
         """Exchanging next and previous energies leaves the probability unchanged, exactly."""
         cfg = SwapConfig(variant="history", rho=0.9)
-        a = swap_probability(cfg, t1, t2, un1, un2, up1, up2)
-        b = swap_probability(cfg, t1, t2, up1, up2, un1, un2)
+        a = _swap_probs(cfg, t1, t2, un1, un2, up1, up2)
+        b = _swap_probs(cfg, t1, t2, up1, up2, un1, un2)
         assert a == b
-
-    def test_non_finite_energy_rejected(self):
-        cfg = SwapConfig(variant="bias_corrected", rho=1.0, sigma2=0.0)
-        with pytest.raises(NumericError):
-            swap_probability(cfg, 1.0, 2.0, np.inf, 0.0, 0.0, 0.0)
 
     def test_range(self):
         cfg = SwapConfig(variant="history", rho=0.25)
-        p = swap_probability(cfg, 1.0, 2.0, 5.0, -5.0, 5.0, -5.0)
+        p = _swap_probs(cfg, 1.0, 2.0, 5.0, -5.0, 5.0, -5.0)
         assert 0.0 <= p <= 0.25
 
     @pytest.mark.parametrize(
@@ -287,8 +246,8 @@ class TestSwapProbability:
         cfg = SwapConfig(variant=variant, rho=0.5, sigma2=sigma2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert swap_probability(cfg, 1.0, 2.0, -1e6, 1e6, -1e6, 1e6) == 0.5
-            assert swap_probability(cfg, 1.0, 2.0, 1e6, -1e6, 1e6, -1e6) == 0.0
+            assert _swap_probs(cfg, 1.0, 2.0, -1e6, 1e6, -1e6, 1e6) == 0.5
+            assert _swap_probs(cfg, 1.0, 2.0, 1e6, -1e6, 1e6, -1e6) == 0.0
 
 
 class TestReplica:
@@ -647,7 +606,7 @@ class TestNonFiniteFailsLoudly:
         assert (trace.states == trace.states[0]).all() and trace.accepted_low.all()
 
     def test_nan_energy_fails_loudly(self):
-        model = QuadraticEnergy(domain=DomainSpec.spin_pm1(2), J=np.zeros((2, 2)), b=np.array([np.nan, 0.0]))
+        model = GivenGradient(DomainSpec.spin_pm1(2), np.zeros((1, 2)), energy=np.array([np.nan]))
         with pytest.raises(NumericError, match="seed 8, initial states: low chain: energy not finite"):
             run_sampler(model, RunConfig(iterations=10, **_run_kwargs("dula")))
 
@@ -681,6 +640,7 @@ def _bits(a):
 class TestTwoLevelPath:
     """On two-level domains the kernel works on two level columns; it must give the generic path's bits."""
 
+    @pytest.mark.slow
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_tables_draws_and_logq_equal_the_generic_path(self, data):
