@@ -68,7 +68,7 @@ class QuadraticEnergy(EnergyModel):
             raise DomainError(f"b has shape {b.shape}, expected ({d},)")
         for name, a in (("J", J), ("b", b)):
             if not np.isfinite(a).all():
-                raise DomainError(f"{name} has {int(np.count_nonzero(~np.isfinite(a)))} non-finite entries")
+                raise DomainError(f"{name} has non-finite entries")
         if not np.array_equal(J, J.T):
             raise DomainError("J must be symmetric")
         if not 0 < self.w < np.inf:
