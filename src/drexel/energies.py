@@ -66,11 +66,6 @@ class QuadraticEnergy(EnergyModel):
             raise DomainError(f"J has shape {J.shape}, expected ({d}, {d})")
         if b.shape != (d,):
             raise DomainError(f"b has shape {b.shape}, expected ({d},)")
-        for name, a in (("J", J), ("b", b)):
-            if not np.isfinite(a).all():
-                raise DomainError(f"{name} has non-finite entries")
-        if not np.array_equal(J, J.T):
-            raise DomainError("J must be symmetric")
         if not 0 < self.w < np.inf:
             raise DomainError(f"connectivity strength w must be positive and finite, got {self.w}")
         rows, cols = np.nonzero(J)  # row-major, so each row's columns come in index order
@@ -80,6 +75,12 @@ class QuadraticEnergy(EnergyModel):
         wts = np.zeros(nbr.shape)
         nbr[slot, rows] = cols
         wts[slot, rows] = J[rows, cols]
+        # wts holds every non-zero of J, so this checks J in O(edges), before NaN != NaN fails the symmetry test
+        for name, a in (("J", wts), ("b", b)):
+            if not np.isfinite(a).all():
+                raise DomainError(f"{name} has non-finite entries")
+        if not np.array_equal(J, J.T):
+            raise DomainError("J must be symmetric")
         for name, a in (("J", J), ("b", b), ("nbr", nbr), ("wts", wts)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
