@@ -41,49 +41,63 @@ class EnergyModel(ABC):
         return self.value_and_grad_batch(xs)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticEnergy(EnergyModel):
     """U(x) = w * x^T J x + b^T x with symmetric J (Ising when J is 0/1 adjacency).
 
-    J stays the dense public field; the energy itself reads the padded
-    neighbour table built from its non-zeros: column d of nbr lists the
-    sites j with J[d, j] != 0 in index order, and wts the matching J[d, j],
-    padded with weight 0 up to the largest row degree.
+    The model holds J only as its padded neighbour table: column d of nbr
+    lists the sites j with J[d, j] != 0 in index order, and wts the matching
+    J[d, j], padded with weight 0 up to the largest row degree.  It is built
+    from a dense J here, or by make_ising_lattice straight from the lattice
+    offsets; the dense J is rebuilt from the table on each read.
     """
 
     domain: DomainSpec
-    J: np.ndarray
+    nbr: np.ndarray = field(repr=False)  # (deg, dim) site indices
+    wts: np.ndarray = field(repr=False)  # (deg, dim) couplings, 0 past a row's end
     b: np.ndarray
     w: float = 1.0
-    nbr: np.ndarray = field(init=False, repr=False, compare=False)  # (deg, dim) site indices
-    wts: np.ndarray = field(init=False, repr=False, compare=False)  # (deg, dim) couplings, 0 past a row's end
 
-    def __post_init__(self):
-        J = np.asarray(self.J, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        d = self.domain.dim
+    def __init__(self, domain: DomainSpec, J: np.ndarray, b: np.ndarray, w: float = 1.0):
+        J = np.asarray(J, dtype=float)
+        d = domain.dim
         if J.shape != (d, d):
             raise DomainError(f"J has shape {J.shape}, expected ({d}, {d})")
+        rows, cols = np.nonzero(J)  # row-major, so each row's columns come in index order
+        self._store(domain, rows, cols, J[rows, cols], b, w)
+
+    def _store(self, domain, rows, cols, vals, b, w):
+        """Check and keep the model from J's non-zeros vals at (rows, cols), sorted by row, then column."""
+        b = np.asarray(b, dtype=float)
+        d = domain.dim
         if b.shape != (d,):
             raise DomainError(f"b has shape {b.shape}, expected ({d},)")
-        if not 0 < self.w < np.inf:
-            raise DomainError(f"connectivity strength w must be positive and finite, got {self.w}")
-        rows, cols = np.nonzero(J)  # row-major, so each row's columns come in index order
+        if not 0 < w < np.inf:
+            raise DomainError(f"connectivity strength w must be positive and finite, got {w}")
+        # vals before the symmetry test, which NaN != NaN would otherwise fail first
+        for name, a in (("J", vals), ("b", b)):
+            if not np.isfinite(a).all():
+                raise DomainError(f"{name} has non-finite entries")
+        mirror = np.lexsort((rows, cols))  # the (j, d) entries in (d, j) order
+        if not all(np.array_equal(a[mirror], a_t) for a, a_t in ((rows, cols), (cols, rows), (vals, vals))):
+            raise DomainError("J must be symmetric")
         counts = np.bincount(rows, minlength=d)
         slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]  # position within its row
         nbr = np.zeros((int(counts.max(initial=0)), d), dtype=np.intp)
         wts = np.zeros(nbr.shape)
         nbr[slot, rows] = cols
-        wts[slot, rows] = J[rows, cols]
-        # wts holds every non-zero of J, so this checks J in O(edges), before NaN != NaN fails the symmetry test
-        for name, a in (("J", wts), ("b", b)):
-            if not np.isfinite(a).all():
-                raise DomainError(f"{name} has non-finite entries")
-        if not np.array_equal(J, J.T):
-            raise DomainError("J must be symmetric")
-        for name, a in (("J", J), ("b", b), ("nbr", nbr), ("wts", wts)):
+        wts[slot, rows] = vals
+        for a in (nbr, wts, b):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        self.__dict__.update(domain=domain, nbr=nbr, wts=wts, b=b, w=w)
+
+    @property
+    def J(self) -> np.ndarray:
+        """The dense (dim, dim) coupling matrix, scattered from the neighbour table on each read."""
+        J = np.zeros((self.domain.dim, self.domain.dim))
+        np.add.at(J, (np.arange(self.domain.dim), self.nbr), self.wts)  # padding adds 0.0
+        J.setflags(write=False)
+        return J
 
     def value_and_grad_batch(self, xs):
         """J x as a sum over the neighbour table, in O(edges) per row.
@@ -145,16 +159,16 @@ class RbmFreeEnergy(EnergyModel):
         """P(v_d = 1 | h), vectorized over rows when h is 2-d."""
         return _sigmoid(h @ self.W + self.b)
 
-    def block_gibbs(self, v, rng, z=None):
+    def block_gibbs(self, v, rng, h_means=None):
         """One block-Gibbs sweep over the rows of v: sample hidden given visible, then visible given hidden.
 
-        z is v's pre_activation, if the caller holds it.
+        h_means is P(h = 1 | v) = sigmoid(pre_activation(v)), if the caller holds it.
         """
         if self.domain.kind != BINARY01:
             raise DomainError("block Gibbs runs on binary01 visible units")
-        if z is None:
-            z = self.pre_activation(v)
-        h = (rng.random(z.shape) < _sigmoid(z)).astype(float)
+        if h_means is None:
+            h_means = _sigmoid(self.pre_activation(v))
+        h = (rng.random(h_means.shape) < h_means).astype(float)
         return (rng.random(v.shape) < self.visible_means(h)).astype(float)
 
 
@@ -263,7 +277,8 @@ def make_ising_lattice(side: int, w: float, b: np.ndarray, periodic: bool) -> Qu
     """Nearest-neighbour Ising energy on a side x side square lattice of spins.
 
     J is the 0/1 adjacency matrix (torus edges iff periodic; wrap-around
-    duplicates collapse, so a periodic 2x2 lattice keeps row sums of 2).
+    duplicates collapse, so a periodic 2x2 lattice keeps row sums of 2), held
+    as the neighbour table built from the four lattice offsets: no (n, n) array.
     """
     if side < 2:
         raise DomainError(f"lattice side must be >= 2, got {side}")
@@ -271,17 +286,18 @@ def make_ising_lattice(side: int, w: float, b: np.ndarray, periodic: bool) -> Qu
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DomainError(f"bias has shape {b.shape}, expected ({n},)")
-    J = np.zeros((n, n))
-    for r in range(side):
-        for col in range(side):
-            i = r * side + col
-            right = r * side + (col + 1) % side
-            down = ((r + 1) % side) * side + col
-            if col + 1 < side or periodic:
-                J[i, right] = J[right, i] = 1.0
-            if r + 1 < side or periodic:
-                J[i, down] = J[down, i] = 1.0
-    return QuadraticEnergy(domain=DomainSpec.spin_pm1(n), J=J, b=b, w=w)
+    r, c = np.divmod(np.arange(n), side)
+    offsets = []
+    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        inside = (0 <= r + dr) & (r + dr < side) & (0 <= c + dc) & (c + dc < side)
+        offsets.append(np.where(inside | periodic, (r + dr) % side * side + (c + dc) % side, -1))
+    cand = np.sort(np.stack(offsets, axis=1), axis=1)  # (n, 4) neighbours in index order, -1 where an open edge has none
+    keep = cand >= 0
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]  # a neighbour met twice, around a torus of side 2
+    rows = np.nonzero(keep)[0]
+    model = QuadraticEnergy.__new__(QuadraticEnergy)  # the dense constructor's checks and table, from J's non-zeros
+    model._store(DomainSpec.spin_pm1(n), rows, cand[keep], np.ones(rows.size), b, w)
+    return model
 
 
 def make_ising_chain(n: int, w: float, b: np.ndarray) -> QuadraticEnergy:

@@ -123,7 +123,7 @@ def _chain_metrics(trace) -> dict:
 
 
 def _synthetic_metrics(model, truth, truth_features, rff, trace):
-    chain_embedded = model.domain.value_table[trace.states.astype(np.int64)]
+    chain_embedded = model.domain.value_table[trace.states]
     return {
         "kl": kl_divergence(truth, EmpiricalHist.from_states(trace.states, model.domain)),
         "mmd": mmd_rff(None, chain_embedded, rff, mean_x=truth_features),
@@ -149,7 +149,7 @@ def _magnetization_truth(model, config):
 
 
 def _ising_metrics(model, mag_truth, trace):
-    emb = model.domain.value_table[trace.states.astype(np.int64)]
+    emb = model.domain.value_table[trace.states]
     return {"log_rmse": log_rmse(emb.mean(axis=0), mag_truth)}
 
 
@@ -162,7 +162,7 @@ def _rbm_sample_metrics(model, config, trace):
     for row in ref:
         state = model.block_gibbs(state, rng_ref)
         row[:] = state[0]
-    chain_embedded = model.domain.value_table[trace.states.astype(np.int64)]
+    chain_embedded = model.domain.value_table[trace.states]
     bw = median_bandwidth(np.vstack([chain_embedded[:500], ref[:500]]))
     rff = RffEstimator.create(model.domain.dim, bw, config.mmd_features, substream(trace.seed, SALT_TRUTH))
     return {"mmd": mmd_rff(ref, chain_embedded, rff)}

@@ -59,45 +59,54 @@ class RffEstimator:
 
     @staticmethod
     def create(dim: int, bandwidth: float, num_features: int = 500, rng=None) -> "RffEstimator":
-        if num_features < 1 or bandwidth <= 0:
-            raise DomainError("need num_features >= 1 and bandwidth > 0")
+        if num_features < 1 or not 0 < bandwidth < np.inf:
+            raise DomainError(f"need num_features >= 1 and 0 < bandwidth < inf, got {num_features} and {bandwidth}")
         rng = np.random.default_rng(0) if rng is None else rng
         freq = rng.normal(0.0, 1.0 / bandwidth, size=(num_features, dim))
         offs = rng.uniform(0.0, 2.0 * np.pi, size=num_features)
         return RffEstimator(frequencies=freq, offsets=offs, bandwidth=bandwidth)
 
-    def features(self, xs: np.ndarray) -> np.ndarray:
+    def features(self, xs: np.ndarray, out=None) -> np.ndarray:
+        """sqrt(2 / num_features) cos(xs F^T + offsets), every step in one (rows, num_features) buffer, out if given."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.sqrt(2.0 / self.num_features) * np.cos(xs @ self.frequencies.T + self.offsets)
+        out = np.matmul(xs, self.frequencies.T, out=out)
+        out += self.offsets
+        return np.multiply(np.cos(out, out=out), np.sqrt(2.0 / self.num_features), out=out)
 
     def mean_features(self, xs: np.ndarray) -> np.ndarray:
         """Mean feature vector of a nonempty sample set: its approximate kernel mean embedding.
 
-        Features are built MEAN_BLOCK_ROWS rows at a time, so memory does not
-        grow with the sample set.  The running sum enters each block's sum as
-        its first row, which adds the rows in the order features(xs).mean(axis=0)
-        does; the two agree bit for bit wherever BLAS rounds each row of the
-        projection the same in a block as in the whole set.
+        Features are built MEAN_BLOCK_ROWS rows at a time into rows 1: of one
+        buffer, so memory does not grow with the sample set.  The running sum,
+        in row 0, enters each block's sum first, which adds the rows in the
+        order features(xs).mean(axis=0) does; the two agree bit for bit wherever
+        BLAS rounds a projection row the same in a block as in the whole set.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.shape[0] == 0:
             raise DomainError("mmd needs nonempty sample sets")
-        total = np.add.reduce(self.features(xs[:MEAN_BLOCK_ROWS]), axis=0)
-        for start in range(MEAN_BLOCK_ROWS, xs.shape[0], MEAN_BLOCK_ROWS):
-            block = self.features(xs[start : start + MEAN_BLOCK_ROWS])
-            total = np.add.reduce(np.concatenate([total[None, :], block]), axis=0)
-        return total / xs.shape[0]
+        buf = np.empty((min(xs.shape[0], MEAN_BLOCK_ROWS) + 1, self.num_features))
+        for start in range(0, xs.shape[0], MEAN_BLOCK_ROWS):
+            block = xs[start : start + MEAN_BLOCK_ROWS]
+            self.features(block, out=buf[1 : block.shape[0] + 1])
+            buf[0] = np.add.reduce(buf[0 if start else 1 : block.shape[0] + 1], axis=0)
+        return buf[0] / xs.shape[0]
 
 
 def median_bandwidth(samples: np.ndarray) -> float:
     """Median pairwise distance of a subsample evenly thinned to BANDWIDTH_ROWS rows; floor at 1e-12."""
     xs = np.atleast_2d(np.asarray(samples, dtype=float))
+    if xs.shape[0] < 2:
+        raise DomainError(f"median bandwidth needs at least 2 rows, got {xs.shape[0]}")
     if xs.shape[0] > BANDWIDTH_ROWS:
         xs = xs[np.linspace(0, xs.shape[0] - 1, BANDWIDTH_ROWS).astype(int)]
     sq = np.sum(xs**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (xs @ xs.T), 0.0)
-    upper = d2[np.triu_indices(xs.shape[0], k=1)]
-    return max(float(np.median(np.sqrt(upper))), 1e-12)
+    d2 = xs @ xs.T
+    d2 *= 2.0  # exact, so d2 rounds as (|x_i|^2 + |x_j|^2) - 2 x_i.x_j does
+    np.subtract(sq[:, None] + sq[None, :], d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    upper = d2[~np.tri(xs.shape[0], dtype=bool)]  # the pairs i < j, row by row
+    return max(float(np.median(np.sqrt(upper, out=upper), overwrite_input=True)), 1e-12)
 
 
 def mmd_rff(samples_x, samples_y: np.ndarray, est: RffEstimator, mean_x=None) -> float:
@@ -153,7 +162,7 @@ def jump_rate(trace, domain: DomainSpec) -> float:
     states = trace.states if hasattr(trace, "states") else np.asarray(trace)
     if states.shape[0] < 2:
         raise DomainError("jump rate needs a trace of length >= 2")
-    emb = domain.value_table[states.astype(np.int64)]
+    emb = domain.value_table[states]
     dist = np.linalg.norm(np.diff(emb, axis=0), axis=1)
     return float(np.mean(dist > JUMP_DISTANCE))
 

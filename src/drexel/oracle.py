@@ -362,7 +362,7 @@ def colour_classes(model: QuadraticEnergy) -> list:
     model = _require_quadratic(model)
     if model.domain.kind != SPIN_PM1:
         raise DomainError("the heat-bath reference runs on spin_pm1 states")
-    if np.diagonal(model.J).any():
+    if ((model.nbr == np.arange(model.domain.dim)) & (model.wts != 0)).any():
         raise DomainError("the heat-bath reference needs J with a zero diagonal")
     colour = [-1] * model.domain.dim
     for d, (sites, wts) in enumerate(zip(model.nbr.T.tolist(), model.wts.T.tolist())):

@@ -76,18 +76,18 @@ def synth_bernoulli_mixture(dim: int, modes: int, per_mode: int, flip_prob: floa
 def _cd_terms(rbm: RbmFreeEnergy, batch: np.ndarray, k: int, rng: np.random.Generator):
     """The CD-k ascent direction, then (z_data, v_model, z_model): k block-Gibbs sweeps started at the batch.
 
-    Each visible batch's pre-activation z = v @ W.T + c is computed once.  It
-    gives that batch's hidden means, the next sweep's hidden draw, and the
-    free energies the caller reads with value_from_pre_activation.
+    Each visible batch's pre-activation z = v @ W.T + c and hidden means
+    sigmoid(z) are computed once.  The means give the gradient and the next
+    sweep's hidden draw, z the free energies of value_from_pre_activation.
     """
     n = batch.shape[0]
     z_data = rbm.pre_activation(batch)
     h_data = _sigmoid(z_data)
-    v_model, z_model = batch, z_data
+    v_model, z_model, h_model = batch, z_data, h_data
     for _ in range(k):
-        v_model = rbm.block_gibbs(v_model, rng, z_model)
+        v_model = rbm.block_gibbs(v_model, rng, h_model)
         z_model = rbm.pre_activation(v_model)
-    h_model = _sigmoid(z_model)
+        h_model = _sigmoid(z_model)
     dW = h_data.T @ batch
     dW -= h_model.T @ v_model
     dW /= n

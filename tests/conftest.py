@@ -1,5 +1,7 @@
 """Shared fixtures and numerical helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,16 @@ def random_coupling(n, density, seed):
     rng = np.random.default_rng(seed)
     J = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < density), k=1)
     return J + J.T
+
+
+def traced_peak(f):
+    """Peak bytes that numpy and Python allocate while f() runs, by tracemalloc (this process only)."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

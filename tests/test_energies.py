@@ -25,7 +25,7 @@ from drexel.energies import (
 from drexel.errors import DomainError
 from drexel.oracle import enumerate_target, exact_single_kernel
 
-from conftest import gradient_matches_fd, random_coupling
+from conftest import gradient_matches_fd, random_coupling, traced_peak
 from test_golden import trace_digest
 
 
@@ -42,6 +42,24 @@ class TestQuadratic:
         dom = DomainSpec.spin_pm1(2)
         with pytest.raises(DomainError):
             QuadraticEnergy(domain=dom, J=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "J, message",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], "J must be symmetric"),  # an edge with no mirror
+            ([[0.0, 1.0], [2.0, 0.0]], "J must be symmetric"),  # a mirror with another weight
+            ([[0.0, np.nan], [1.0, 0.0]], "J has non-finite entries"),  # NaN is named before the asymmetry
+        ],
+    )
+    def test_bad_table_rejected_with_its_message(self, J, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            QuadraticEnergy(domain=DomainSpec.spin_pm1(2), J=np.array(J), b=np.zeros(2))
+
+    def test_J_is_rebuilt_read_only_from_the_table(self):
+        J = random_coupling(12, 0.3, 2)
+        model = QuadraticEnergy(domain=DomainSpec.spin_pm1(12), J=J, b=np.zeros(12))
+        assert np.array_equal(model.J, J) and not model.J.flags.writeable
+        assert "J" not in vars(model)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["J", "b", "w"])
@@ -185,6 +203,36 @@ class TestIsingLattice:
     def test_chain_adjacency(self):
         model = make_ising_chain(3, 0.15, np.zeros(3))
         assert np.array_equal(model.J, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+    @staticmethod
+    def _loop_J(side, periodic):
+        """The adjacency matrix as make_ising_lattice built it densely, site by site."""
+        J = np.zeros((side * side, side * side))
+        for r in range(side):
+            for col in range(side):
+                i = r * side + col
+                right = r * side + (col + 1) % side
+                down = ((r + 1) % side) * side + col
+                if col + 1 < side or periodic:
+                    J[i, right] = J[right, i] = 1.0
+                if r + 1 < side or periodic:
+                    J[i, down] = J[down, i] = 1.0
+        return J
+
+    @pytest.mark.parametrize("periodic", [True, False], ids=["torus", "open"])
+    @pytest.mark.parametrize("side", [2, 3, 4, 5, 6, 32])
+    def test_table_from_offsets_equals_the_dense_constructors(self, side, periodic):
+        """The offset-built table, and J read back from it, equal those of the dense site-by-site J bit for bit."""
+        n = side * side
+        model = make_ising_lattice(side, 0.15, np.zeros(n), periodic)
+        J = self._loop_J(side, periodic)
+        dense = QuadraticEnergy(domain=DomainSpec.spin_pm1(n), J=J, b=np.zeros(n), w=0.15)
+        for a, b in ((model.nbr, dense.nbr), (model.wts, dense.wts), (model.J, J)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_lattice_build_makes_no_dense_matrix(self):
+        """The 32^2 torus (a dense J would be 8 MB) builds in under 1 MB of traced memory."""
+        assert traced_peak(lambda: make_ising_lattice(32, 0.15, np.zeros(1024), True)) < 2**20
 
     def test_torus_energy_equals_the_dense_product_bit_for_bit(self):
         """On the 0/1 32^2 torus the neighbour sum is X @ J exactly, at K = 4."""

@@ -5,16 +5,19 @@ import os
 import subprocess
 import sys
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from drexel.config import _SCHEMA, parse_config
 from drexel.domains import DomainSpec
-from drexel.energies import EnergyModel
+from drexel.energies import EnergyModel, make_ising_lattice
 from drexel.errors import ConfigError, DomainError
-from drexel.harness import _write_pgm, run_experiment, write_run_csv
+from drexel.harness import _ising_metrics, _write_pgm, run_experiment, write_run_csv
 from drexel.sampler import RunTrace
+
+from conftest import traced_peak
 
 
 def read_pgm(path):
@@ -214,6 +217,13 @@ def count_bright_components(img, threshold=127):
 
 
 class TestIsingRuns:
+    def test_metrics_index_the_int16_trace_directly(self):
+        """_ising_metrics embeds the 600 x 1024 int16 trace once; an int64 copy would add another 4.9 MB."""
+        model = make_ising_lattice(32, 0.15, np.zeros(1024), True)
+        trace = SimpleNamespace(states=np.random.default_rng(0).integers(0, 2, size=(600, 1024), dtype=np.int16))
+        embedded = trace.states.size * 8
+        assert traced_peak(lambda: _ising_metrics(model, np.zeros(1024), trace)) < embedded + trace.states.size * 4
+
     def test_large_lattice_uses_reference_chain(self, tmp_path):
         cfg = parse_config(
             """

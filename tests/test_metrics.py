@@ -9,6 +9,7 @@ from drexel import RunConfig, make_synthetic, run_sampler
 from drexel.domains import DomainSpec, embed_all
 from drexel.errors import DomainError
 from drexel.metrics import (
+    BANDWIDTH_ROWS,
     MEAN_BLOCK_ROWS,
     EmpiricalHist,
     RffEstimator,
@@ -23,6 +24,8 @@ from drexel.metrics import (
 )
 from drexel.oracle import Pmf, enumerate_target
 from drexel.rng import SALT_TRUTH, substream
+
+from conftest import traced_peak
 
 
 class TestKl:
@@ -133,6 +136,63 @@ class TestMmd:
         xs = rng.normal(size=(500, 2))
         bw = median_bandwidth(xs)
         assert 1.0 < bw < 3.0  # median pairwise distance of a 2-d standard normal
+
+
+def _features_as_one_expression(est, xs):
+    return np.sqrt(2.0 / est.num_features) * np.cos(xs @ est.frequencies.T + est.offsets)
+
+
+def _mean_features_by_concatenation(est, xs):
+    total = np.add.reduce(_features_as_one_expression(est, xs[:MEAN_BLOCK_ROWS]), axis=0)
+    for start in range(MEAN_BLOCK_ROWS, xs.shape[0], MEAN_BLOCK_ROWS):
+        block = _features_as_one_expression(est, xs[start : start + MEAN_BLOCK_ROWS])
+        total = np.add.reduce(np.concatenate([total[None, :], block]), axis=0)
+    return total / xs.shape[0]
+
+
+def _median_bandwidth_by_triu_indices(xs):
+    if xs.shape[0] > BANDWIDTH_ROWS:
+        xs = xs[np.linspace(0, xs.shape[0] - 1, BANDWIDTH_ROWS).astype(int)]
+    sq = np.sum(xs**2, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (xs @ xs.T), 0.0)
+    upper = d2[np.triu_indices(xs.shape[0], k=1)]
+    return max(float(np.median(np.sqrt(upper))), 1e-12)
+
+
+class TestFixedBuffers:
+    """The in-place feature, mean and bandwidth code equals the plain expressions bit for bit, in bounded memory."""
+
+    @pytest.mark.parametrize("dim", [2, 784])
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001, 1025, 2049, 10_000])
+    def test_equal_to_the_plain_expressions(self, n, dim):
+        xs = np.random.default_rng(n + dim).normal(size=(n, dim))
+        est = RffEstimator.create(dim, 1.5, 500, np.random.default_rng(dim))
+        assert np.array_equal(est.features(xs), _features_as_one_expression(est, xs))
+        assert np.array_equal(est.mean_features(xs), _mean_features_by_concatenation(est, xs))
+        if n >= 2:
+            assert median_bandwidth(xs) == _median_bandwidth_by_triu_indices(xs)
+
+    def test_median_bandwidth_holds_two_distance_matrices(self):
+        """1,000 x 784 rows: the Gram and distance buffers, plus 1 MB for the mask and the upper triangle's views."""
+        xs = np.random.default_rng(3).normal(size=(1000, 784))
+        assert traced_peak(lambda: median_bandwidth(xs)) < 2 * 1000**2 * 8 + 2**20
+
+    def test_mean_features_holds_one_block(self):
+        """10,000 x 2 rows: under 1.5 blocks of features, where concatenating blocks held three."""
+        xs = np.random.default_rng(4).normal(size=(10_000, 2))
+        est = RffEstimator.create(2, 1.0, 500, np.random.default_rng(5))
+        assert traced_peak(lambda: est.mean_features(xs)) < 1.5 * MEAN_BLOCK_ROWS * 500 * 8
+
+    def test_median_bandwidth_needs_two_rows(self):
+        for n in (0, 1):
+            with pytest.raises(DomainError, match="at least 2 rows"):
+                median_bandwidth(np.zeros((n, 2)))
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf])
+    def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        """A NaN bandwidth made every MMD NaN, an infinite one made every MMD 0."""
+        with pytest.raises(DomainError, match="bandwidth"):
+            RffEstimator.create(2, bandwidth, 10, np.random.default_rng(0))
 
 
 class TestNll:

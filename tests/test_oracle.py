@@ -14,7 +14,7 @@ import pytest
 
 from drexel import ChainParams, SwapConfig, make_ising_chain, make_ising_lattice, make_synthetic
 from drexel.domains import DomainSpec, embed_all, state_index
-from drexel.energies import QuadraticEnergy, RbmFreeEnergy
+from drexel.energies import QuadraticEnergy, RbmFreeEnergy, _sigmoid
 from drexel.errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
 from drexel.oracle import (
     Kernel,
@@ -412,6 +412,13 @@ class TestBlockGibbs:
         # small RBM decorrelates within ~10 sweeps
         se = np.sqrt(marginals * (1 - marginals) / (n / 10))
         assert np.all(np.abs(freq - marginals) <= 3 * se)
+
+    def test_given_hidden_means_draw_the_same_sweep(self, small_rbm):
+        """Passing the hidden means the caller holds changes neither the draws nor the result."""
+        v = (np.random.default_rng(2).random((5, 6)) < 0.5).astype(float)
+        h_means = _sigmoid(small_rbm.pre_activation(v))
+        given, computed = (small_rbm.block_gibbs(v, substream(3, SALT_LOW), h) for h in (h_means, None))
+        assert np.array_equal(given, computed)
 
     def test_spin_domain_rejected(self):
         rng = substream(0, SALT_LOW)
