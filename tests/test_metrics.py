@@ -173,7 +173,7 @@ class TestFixedBuffers:
             assert median_bandwidth(xs) == _median_bandwidth_by_triu_indices(xs)
 
     def test_median_bandwidth_holds_two_distance_matrices(self):
-        """1,000 x 784 rows: the Gram and distance buffers, plus 1 MB for the mask and the upper triangle's views."""
+        """1,000 x 784 rows: two n x n buffers at most, plus 1 MB; the triu_indices form peaked at 21 MB."""
         xs = np.random.default_rng(3).normal(size=(1000, 784))
         assert traced_peak(lambda: median_bandwidth(xs)) < 2 * 1000**2 * 8 + 2**20
 
