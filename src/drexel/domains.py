@@ -18,8 +18,21 @@ ORDINAL = "ordinal"
 ENUMERATION_CAPACITY = 1 << 20  # most states all_states lists, and most pair states an oracle pmf holds
 
 
+class ReadOnlyArrays:
+    """Base of frozen records whose array fields are read-only, and stay so when unpickled in a worker process.
+
+    Pickle hands arrays back writeable, so __setstate__ seals each one again.
+    """
+
+    def __setstate__(self, state):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(ReadOnlyArrays):
     """Product domain: `dim` coordinates, each over the same discrete value set."""
 
     dim: int

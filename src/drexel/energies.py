@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import BINARY01, ORDINAL, DomainSpec
+from .domains import BINARY01, ORDINAL, DomainSpec, ReadOnlyArrays
 from .errors import DomainError
 
 WAVE = "wave"
@@ -24,10 +24,11 @@ FLOWER = "flower"
 SYNTHETIC_NAMES = (WAVE, EIGHT_GAUSSIAN, SIXTEEN_GAUSSIAN, MOON, TWO_MOONS, TWIST, FLOWER)
 
 
-class EnergyModel(ABC):
+class EnergyModel(ReadOnlyArrays, ABC):
     """Interface: U and grad U on the embedded real coordinates, over a batch of rows.
 
     A model defines value_and_grad_batch; everything else derives from it.
+    Its array fields are read-only, in worker processes too.
     """
 
     domain: DomainSpec
@@ -173,9 +174,16 @@ class RbmFreeEnergy(EnergyModel):
 
 
 def _sigmoid(z):
-    """Overflow-free logistic: exp(-|z|) is the only exponential, and it never overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """Overflow-free logistic exp(min(z, 0)) / (1 + exp(-|z|)): neither exponential overflows.
+
+    It is exp(-|z|) / (1 + exp(-|z|)) below 0 and 1 / (1 + exp(-|z|)) from 0
+    up, the same bits as selecting the numerator with np.where, without the
+    where.  fmin takes 0 for a NaN z, so a quiet NaN reaches the result
+    through the denominator, with the bits -|z| gives it, as before.
+    """
+    den = np.exp(-np.abs(z))
+    den += 1.0
+    return np.divide(np.exp(np.fmin(z, 0.0)), den, out=den)
 
 
 _EIGHT_CENTERS = np.array(

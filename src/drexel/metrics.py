@@ -73,24 +73,39 @@ class RffEstimator:
         out += self.offsets
         return np.multiply(np.cos(out, out=out), np.sqrt(2.0 / self.num_features), out=out)
 
-    def mean_features(self, xs: np.ndarray) -> np.ndarray:
+    def mean_features(self, xs: np.ndarray, counts=None) -> np.ndarray:
         """Mean feature vector of a nonempty sample set: its approximate kernel mean embedding.
+
+        With counts, row i of xs stands for counts[i] samples, so a histogram
+        over the enumerated states gives the mean sum_s counts[s] phi(s) / n
+        from each visited state's features once.  Rows with count 0 are
+        skipped, and the others' features are scaled by their counts in place.
 
         Features are built MEAN_BLOCK_ROWS rows at a time into rows 1: of one
         buffer, so memory does not grow with the sample set.  The running sum,
         in row 0, enters each block's sum first, which adds the rows in the
         order features(xs).mean(axis=0) does; the two agree bit for bit wherever
         BLAS rounds a projection row the same in a block as in the whole set.
+        All-one counts give the unweighted bits, as scaling by 1.0 is exact.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if xs.shape[0] == 0:
+        total = xs.shape[0]
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != (total,) or counts.min(initial=0) < 0:
+                raise DomainError(f"need one nonnegative count per row, got shape {counts.shape} for {total} rows")
+            rows = np.flatnonzero(counts)
+            xs, weights, total = xs[rows], counts[rows].astype(float), int(counts.sum())
+        if total == 0:
             raise DomainError("mmd needs nonempty sample sets")
         buf = np.empty((min(xs.shape[0], MEAN_BLOCK_ROWS) + 1, self.num_features))
         for start in range(0, xs.shape[0], MEAN_BLOCK_ROWS):
-            block = xs[start : start + MEAN_BLOCK_ROWS]
-            self.features(block, out=buf[1 : block.shape[0] + 1])
-            buf[0] = np.add.reduce(buf[0 if start else 1 : block.shape[0] + 1], axis=0)
-        return buf[0] / xs.shape[0]
+            stop = min(start + MEAN_BLOCK_ROWS, xs.shape[0])
+            block = self.features(xs[start:stop], out=buf[1 : stop - start + 1])
+            if counts is not None:
+                block *= weights[start:stop, None]
+            buf[0] = np.add.reduce(buf[0 if start else 1 : stop - start + 1], axis=0)
+        return buf[0] / total
 
 
 def median_bandwidth(samples: np.ndarray) -> float:
@@ -109,14 +124,9 @@ def median_bandwidth(samples: np.ndarray) -> float:
     return max(float(np.median(np.sqrt(upper, out=upper), overwrite_input=True)), 1e-12)
 
 
-def mmd_rff(samples_x, samples_y: np.ndarray, est: RffEstimator, mean_x=None) -> float:
-    """Squared MMD estimate: ||mean phi(X) - mean phi(Y)||^2.
-
-    mean_x, when given, is est.mean_features(samples_x), computed once for
-    a sample set compared against many; samples_x is then not read.
-    """
-    mu_y = est.mean_features(samples_y)
-    diff = (est.mean_features(samples_x) if mean_x is None else mean_x) - mu_y
+def mmd_rff(samples_x, samples_y: np.ndarray, est: RffEstimator) -> float:
+    """Squared MMD estimate: ||mean phi(X) - mean phi(Y)||^2."""
+    diff = est.mean_features(samples_x) - est.mean_features(samples_y)
     return float(diff @ diff)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ENUMERATION_CAPACITY, SPIN_PM1, all_states, embed_all
+from .domains import ENUMERATION_CAPACITY, SPIN_PM1, ReadOnlyArrays, all_states, embed_all
 from .energies import EnergyModel, QuadraticEnergy, _sigmoid
 from .errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
 from .sampler import ChainParams, SwapConfig, _Kernel, _swap_probs
@@ -36,7 +36,7 @@ def _within(count: int, limit: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class Pmf:
+class Pmf(ReadOnlyArrays):
     """Exact probabilities over enumerated states (state_index order)."""
 
     p: np.ndarray

@@ -33,7 +33,6 @@ the current values are read with np.where on the two columns.
 
 import os
 import sys
-import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -371,7 +370,6 @@ class RunTrace:
     swap_successes: int
     seed: int
     thin: int
-    wall_clock: float  # seconds of the whole run_batch call that made this trace
 
     @property
     def is_replica(self) -> bool:
@@ -405,7 +403,6 @@ def run_batch(model: EnergyModel, configs) -> list:
     chain, at its proposal.  A non-finite energy or gradient raises
     NumericError naming the seed, the iteration and the chain.
     """
-    t0 = time.perf_counter()
     configs = list(configs)
     if not configs:
         raise DomainError("run_batch needs at least one config")
@@ -441,7 +438,6 @@ def run_batch(model: EnergyModel, configs) -> list:
     except NumericError as exc:
         where = "initial states" if i is None else f"iteration {i}"
         raise NumericError(f"seed {seeds[exc.row // n]}, {where}: {exc}") from exc
-    wall_clock = time.perf_counter() - t0
     return [
         RunTrace(
             states=states[r],
@@ -455,7 +451,6 @@ def run_batch(model: EnergyModel, configs) -> list:
             swap_successes=int(swapped[r].sum()),
             seed=seed,
             thin=thin,
-            wall_clock=wall_clock,
         )
         for r, seed in enumerate(seeds)
     ]

@@ -1,5 +1,7 @@
 """Energy values, hand-derived gradients, and lattice construction."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,3 +346,39 @@ def test_sigmoid_equals_the_two_branch_formula():
     with np.errstate(over="ignore", invalid="ignore"):
         two_branch = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
     assert np.array_equal(_sigmoid(z), two_branch, equal_nan=True)
+
+
+def _sigmoid_by_where(z):
+    """The logistic with its numerator chosen by np.where: the reference _sigmoid keeps the bits of."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+QUIET_NANS = np.array([np.nan, -np.nan, np.array(0x7FF8000000000001).view(np.float64)])
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+@settings(max_examples=300)
+def test_sigmoid_keeps_the_bits_of_the_where_form(values):
+    """Every finite or infinite float, subnormals and signed zeros included, and quiet NaNs, compared as int64."""
+    z = np.concatenate([values, QUIET_NANS])
+    assert np.array_equal(_sigmoid(z).view(np.int64), _sigmoid_by_where(z).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        make_ising_lattice(4, 0.15, np.full(16, 0.05), True),
+        make_ising_chain(3, 0.15, np.zeros(3)),
+        RbmFreeEnergy(domain=DomainSpec.binary01(3), W=np.ones((2, 3)), c=np.zeros(2), b=np.zeros(3)),
+        enumerate_target(make_ising_chain(3, 0.15, np.zeros(3))),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_arrays_stay_read_only_through_pickling(record):
+    """With threads > 1 the model and the truth pmf reach each worker process by pickle, which returned arrays writeable."""
+    copy = pickle.loads(pickle.dumps(record))
+    arrays = [a for a in vars(copy).values() if isinstance(a, np.ndarray)]
+    if hasattr(copy, "domain"):
+        arrays.append(copy.domain.value_table)
+    assert arrays and not any(a.flags.writeable for a in arrays)

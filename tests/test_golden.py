@@ -1,7 +1,7 @@
 """Golden hashes: sampler trajectories and run artifacts must stay byte-identical.
 
 Each trace case runs a sampler at a fixed seed and hashes every array of
-the resulting RunTrace (wall-clock time excluded).  Each whole-run case
+the resulting RunTrace.  Each whole-run case
 runs `run_experiment` on a small 3-repeat config and hashes every artifact
 it writes.  A moved hash means the random draws, their order or the
 floating-point arithmetic of a step changed; re-pin a hash only together

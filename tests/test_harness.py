@@ -10,12 +10,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from drexel.config import _SCHEMA, parse_config
-from drexel.domains import DomainSpec
+from drexel.config import _SCHEMA, parse_config, run_configs
+from drexel.domains import DomainSpec, embed_all
 from drexel.energies import EnergyModel, make_ising_lattice
 from drexel.errors import ConfigError, DomainError
-from drexel.harness import _ising_metrics, _write_pgm, run_experiment, write_run_csv
-from drexel.sampler import RunTrace
+from drexel.harness import _build_model, _ising_metrics, _write_pgm, run_experiment, write_run_csv
+from drexel.metrics import RffEstimator, median_bandwidth, mmd_rff
+from drexel.oracle import enumerate_target
+from drexel.rng import SALT_TRUTH, substream
+from drexel.sampler import RunTrace, run_batch
 
 from conftest import traced_peak
 
@@ -86,6 +89,24 @@ class TestSyntheticRuns:
             assert abs(float(mean) - vals.mean()) <= 1e-12
             assert abs(float(std) - vals.std()) <= 1e-12
 
+    def test_mmd_from_visit_counts_is_the_sample_order_estimator(self, tmp_path):
+        """Each repeat's MMD, from the histograms of the truth draw and the trace, is mmd_rff over their rows to 1e-12.
+
+        3,000 truth rows and 1,500 trace rows: the sample-order means span several feature blocks.
+        """
+        cfg = parse_config(SYNTH_CFG.replace("reference_samples = 500", "reference_samples = 3000")
+                           .replace("iterations = 300", "iterations = 1500"))
+        run_experiment(cfg, out=str(tmp_path))
+        model = _build_model(cfg)
+        truth = enumerate_target(model)
+        rng = substream(cfg.seed, SALT_TRUTH)
+        truth_samples = embed_all(model.domain)[rng.choice(truth.p.shape[0], size=cfg.reference_samples, p=truth.p)]
+        rff = RffEstimator.create(2, median_bandwidth(truth_samples), cfg.mmd_features, rng)
+        for trace in run_batch(model, run_configs(cfg)):
+            rows = (tmp_path / f"metrics_{trace.seed}.csv").read_text().splitlines()[1:]
+            mmd = float(dict(row.split(",") for row in rows)["mmd"])
+            assert abs(mmd - mmd_rff(truth_samples, model.domain.value_table[trace.states], rff)) <= 1e-12
+
     def test_replica_run_fills_high_columns(self, tmp_path):
         cfg = parse_config(
             SYNTH_CFG.replace("sampler = dmala", "sampler = dream")
@@ -117,7 +138,6 @@ def hand_trace(replica, iterations=9000):
         swap_successes=int(flags[2].sum()) if replica else 0,
         seed=1,
         thin=1,
-        wall_clock=0.0,
     )
 
 

@@ -85,7 +85,6 @@ class TestMmd:
         xs, ys = rng.normal(size=(150, 2)), rng.normal(loc=1.0, size=(120, 2))
         est = self._est()
         assert mmd_rff(xs, ys, est) == mmd_rff(ys, xs, est)
-        assert mmd_rff(None, ys, est, mean_x=est.mean_features(xs)) == mmd_rff(xs, ys, est)  # reused embedding
 
     def test_blocked_mean_sums_every_row_in_the_one_shot_order(self):
         """mean_features holds MEAN_BLOCK_ROWS rows of features at a time, yet adds the rows as one mean does.
@@ -183,6 +182,14 @@ class TestFixedBuffers:
         est = RffEstimator.create(2, 1.0, 500, np.random.default_rng(5))
         assert traced_peak(lambda: est.mean_features(xs)) < 1.5 * MEAN_BLOCK_ROWS * 500 * 8
 
+    def test_mean_features_holds_one_block_when_weighted(self):
+        """10,000 x 2 rows with counts, a quarter of them 0: the same bound as without counts."""
+        rng = np.random.default_rng(4)
+        xs = rng.normal(size=(10_000, 2))
+        counts = rng.integers(0, 4, size=10_000)
+        est = RffEstimator.create(2, 1.0, 500, np.random.default_rng(5))
+        assert traced_peak(lambda: est.mean_features(xs, counts)) < 1.5 * MEAN_BLOCK_ROWS * 500 * 8
+
     def test_median_bandwidth_needs_two_rows(self):
         for n in (0, 1):
             with pytest.raises(DomainError, match="at least 2 rows"):
@@ -193,6 +200,36 @@ class TestFixedBuffers:
         """A NaN bandwidth made every MMD NaN, an infinite one made every MMD 0."""
         with pytest.raises(DomainError, match="bandwidth"):
             RffEstimator.create(2, bandwidth, 10, np.random.default_rng(0))
+
+
+class TestWeightedMean:
+    """mean_features(xs, counts) is the mean over the sample set that repeats row i counts[i] times."""
+
+    def _est(self, dim=2):
+        return RffEstimator.create(dim, 1.5, 500, np.random.default_rng(dim))
+
+    @pytest.mark.parametrize("n", [1, 1000, 1025, 2049])
+    def test_all_one_counts_give_the_unweighted_bits(self, n):
+        xs = np.random.default_rng(n).normal(size=(n, 2))
+        est = self._est()
+        assert np.array_equal(est.mean_features(xs, np.ones(n, dtype=np.int64)), est.mean_features(xs))
+
+    @pytest.mark.parametrize("expanded", [1025, 1500, 2049])
+    def test_integer_counts_match_the_expanded_rows(self, expanded):
+        """Three samples per row on average, zeros among them, to 1e-15: only the summation order differs."""
+        rng = np.random.default_rng(expanded)
+        rows = expanded // 3
+        counts = rng.multinomial(expanded, np.full(rows, 1.0 / rows))
+        assert (counts == 0).any()
+        xs = rng.normal(size=(rows, 2))
+        est = self._est()
+        diff = est.mean_features(xs, counts) - est.mean_features(np.repeat(xs, counts, axis=0))
+        assert np.abs(diff).max() <= 1e-15
+
+    @pytest.mark.parametrize("counts", [[1, 2], [1, -1, 1], [0, 0, 0]], ids=["short", "negative", "all-zero"])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(DomainError):
+            self._est().mean_features(np.zeros((3, 2)), np.array(counts))
 
 
 class TestNll:
