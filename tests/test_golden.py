@@ -199,7 +199,7 @@ mmd_features = 40
 }
 
 WHOLE_RUN_GOLDEN = {
-    "synthetic": "c60d56c9aa234e74e001c2e33771f9c73c3cd59e323384057be6b8b7f407a466",
+    "synthetic": "b6fd8d5e7d8a32ee5b4cecd6acd5b1e0a68151ca226ed43fa9bd2becabb9a578",
     "ising": "18abe81285eb112836f848b1dd99ba50227f322f380ce81dcaafe5972870a5e1",
     "rbm-sample": "4f1d39b8048f4bd01cad69752e9e13915a3bfac7e0be7cfd76cf91ddd6ebc5f3",
 }
