@@ -28,7 +28,6 @@ class EnergyModel(ReadOnlyArrays, ABC):
     """Interface: U and grad U on the embedded real coordinates, over a batch of rows.
 
     A model defines value_and_grad_batch; everything else derives from it.
-    Its array fields are read-only, in worker processes too.
     """
 
     domain: DomainSpec
@@ -176,10 +175,8 @@ class RbmFreeEnergy(EnergyModel):
 def _sigmoid(z):
     """Overflow-free logistic exp(min(z, 0)) / (1 + exp(-|z|)): neither exponential overflows.
 
-    It is exp(-|z|) / (1 + exp(-|z|)) below 0 and 1 / (1 + exp(-|z|)) from 0
-    up, the same bits as selecting the numerator with np.where, without the
-    where.  fmin takes 0 for a NaN z, so a quiet NaN reaches the result
-    through the denominator, with the bits -|z| gives it, as before.
+    The bits of the form whose numerator np.where picks, NaN included: fmin
+    takes 0 for a NaN z, whose quiet NaN then comes through -|z| as before.
     """
     den = np.exp(-np.abs(z))
     den += 1.0

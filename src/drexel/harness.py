@@ -221,11 +221,10 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
         truth = enumerate_target(model)
         rng_truth = substream(config.seed, SALT_TRUTH)
         idx = rng_truth.choice(truth.p.shape[0], size=config.reference_samples, p=truth.p)
-        states = embed_all(model.domain)
-        bw = median_bandwidth(states[idx])
+        bw = median_bandwidth(embed_all(model.domain)[idx])  # holds no state table through its peak
         rff = RffEstimator.create(model.domain.dim, bw, config.mmd_features, rng_truth)
         # the truth side of every repeat's MMD, computed once from the draw's visit counts
-        truth_features = rff.mean_features(states, np.bincount(idx, minlength=truth.p.shape[0]))
+        truth_features = rff.mean_features(embed_all(model.domain), np.bincount(idx, minlength=truth.p.shape[0]))
         measure = partial(_synthetic_metrics, model, truth, truth_features, rff)
         extra = [f"mmd_bandwidth = {bw!r}"]
     elif config.kind == "ising":
