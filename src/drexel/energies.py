@@ -173,14 +173,16 @@ class RbmFreeEnergy(EnergyModel):
 
 
 def _sigmoid(z):
-    """Overflow-free logistic exp(min(z, 0)) / (1 + exp(-|z|)): neither exponential overflows.
+    """Overflow-free logistic exp(min(z, 0)) / (1 + exp(-|z|)), in two buffers; neither exponential overflows.
 
     The bits of the form whose numerator np.where picks, NaN included: fmin
     takes 0 for a NaN z, whose quiet NaN then comes through -|z| as before.
     """
-    den = np.exp(-np.abs(z))
+    den = np.abs(z)
+    np.exp(np.negative(den, out=den), out=den)
     den += 1.0
-    return np.divide(np.exp(np.fmin(z, 0.0)), den, out=den)
+    num = np.fmin(z, 0.0)
+    return np.divide(np.exp(num, out=num), den, out=den)
 
 
 _EIGHT_CENTERS = np.array(
