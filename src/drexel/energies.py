@@ -137,10 +137,6 @@ class RbmFreeEnergy(EnergyModel):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
 
-    @property
-    def hidden(self) -> int:
-        return self.W.shape[0]
-
     def value_and_grad_batch(self, xs):
         """Stacked matrix-vector products, one per row, so each row's bits do not depend on the batch size."""
         z = np.matmul(self.W, xs[:, :, None])[:, :, 0] + self.c
@@ -214,11 +210,12 @@ class Synthetic2D(EnergyModel):
     domain: DomainSpec
     which: str
     c: float = 2.0
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.which not in SYNTHETIC_NAMES:
             raise DomainError(f"unknown synthetic energy {self.which!r}")
+        if not np.isfinite(self.c):
+            raise DomainError(f"barrier height c must be finite, got {self.c}")
         if self.domain.dim != 2 or self.domain.kind != ORDINAL:
             raise DomainError("synthetic landscapes are defined on 2-d ordinal grids")
 
@@ -237,13 +234,13 @@ class Synthetic2D(EnergyModel):
         if w == EIGHT_GAUSSIAN:
             dx = x[:, None] - _EIGHT_CENTERS[:, 0]
             dy = y[:, None] - _EIGHT_CENTERS[:, 1]
-            e = -(dx**2 + dy**2) / (2 * self.sigma**2)
+            e = -(dx**2 + dy**2) / 2.0
             m = e.max(axis=1, keepdims=True)
             wgt = np.exp(e - m)
             total = wgt.sum(axis=1, keepdims=True)
             u = (m + np.log(total))[:, 0]
             wgt /= total
-            g = (-np.vecdot(wgt, dx) / self.sigma**2, -np.vecdot(wgt, dy) / self.sigma**2)
+            g = (-np.vecdot(wgt, dx), -np.vecdot(wgt, dy))
         elif w == MOON:
             q = 4 * x - y**2 + 24.0 / 5.0
             u = -0.1 * y**4 - 0.5 * q**2

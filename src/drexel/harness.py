@@ -25,7 +25,6 @@ from .domains import DomainSpec, embed_all, flat_index
 from .energies import make_ising_chain, make_ising_lattice, make_synthetic
 from .errors import ConfigError, DomainError
 from .metrics import (
-    EmpiricalHist,
     RffEstimator,
     jump_rate,
     kl_divergence,
@@ -34,6 +33,7 @@ from .metrics import (
     mmd_rff,
     nll,
     swap_rate,
+    visit_counts,
 )
 from .oracle import (
     balanced_joint_kernel,
@@ -123,23 +123,22 @@ def _chain_metrics(trace) -> dict:
 
 
 def _synthetic_metrics(model, truth, truth_features, rff, trace):
-    """KL and MMD from one histogram of the trace: the MMD builds each visited state's features once."""
-    hist = EmpiricalHist.from_states(trace.states, model.domain)
-    diff = rff.mean_features(embed_all(model.domain), hist.counts) - truth_features
+    """KL and MMD from the trace's visit counts: the MMD builds each visited state's features once."""
+    counts = visit_counts(trace.states, model.domain)
+    diff = rff.mean_features(embed_all(model.domain), counts) - truth_features
     return {
-        "kl": kl_divergence(truth, hist),
+        "kl": kl_divergence(truth, counts),
         "mmd": float(diff @ diff),
         "nll": nll(truth, flat_index(trace.states, model.domain)),
-        "jump_rate": jump_rate(trace, model.domain),
+        "jump_rate": jump_rate(trace.states, model.domain),
     }
 
 
 def _magnetization_truth(model, config):
-    """Per-site mean spin, exact when enumeration fits, else a long colour-class heat-bath reference."""
+    """Per-site mean spin and its source: exact when enumeration fits, else a long colour-class heat-bath reference."""
     n = model.domain.dim
     if n <= 20:
-        pi = enumerate_target(model)
-        return pi.p @ embed_all(model.domain)
+        return enumerate_target(model).p @ embed_all(model.domain), "enumeration"
     rng = substream(config.seed, SALT_REFERENCE)
     spins = np.where(rng.random(n) < 0.5, 1.0, -1.0)[None, :]
     classes = colour_classes(model)
@@ -147,7 +146,7 @@ def _magnetization_truth(model, config):
     for _ in range(config.reference_steps):
         spins = heat_bath_sweep(model, classes, spins, rng)
         total += spins[0]
-    return total / config.reference_steps
+    return total / config.reference_steps, f"gibbs_reference({config.reference_steps} sweeps)"
 
 
 def _ising_metrics(model, mag_truth, trace):
@@ -229,8 +228,8 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
         extra = [f"mmd_bandwidth = {bw!r}"]
     elif config.kind == "ising":
         model = _build_model(config)
-        measure = partial(_ising_metrics, model, _magnetization_truth(model, config))
-        truth_src = "enumeration" if model.domain.dim <= 20 else f"gibbs_reference({config.reference_steps} sweeps)"
+        mag_truth, truth_src = _magnetization_truth(model, config)
+        measure = partial(_ising_metrics, model, mag_truth)
         extra = [f"magnetization_truth = {truth_src}"]
     elif config.kind == "rbm-sample":
         model = load_rbm(config.weights)
@@ -252,7 +251,7 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
     _write_meta(out, config, extra)
 
     if config.kind == "synthetic" and config.heatmap:
-        pooled = sum(EmpiricalHist.from_states(trace.states, model.domain).counts for trace, _ in results)
+        pooled = sum(visit_counts(trace.states, model.domain) for trace, _ in results)
         _write_pgm(pooled, model.domain, os.path.join(out, "empirical.pgm"))
         _write_pgm(truth.p, model.domain, os.path.join(out, "target.pgm"))  # the exact pmf, rendered alike
     return summary

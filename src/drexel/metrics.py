@@ -13,34 +13,21 @@ BANDWIDTH_ROWS = 1000  # largest subsample whose pairwise distances median_bandw
 JUMP_DISTANCE = 1.0  # embedded L2 distance beyond which jump_rate counts a move as a jump
 
 
-@dataclass(frozen=True)
-class EmpiricalHist:
-    """Visit counts over enumerated states."""
-
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if self.total < 1 or counts.sum() != self.total:
-            raise DomainError("histogram counts must sum to a positive total")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @staticmethod
-    def from_states(states: np.ndarray, domain: DomainSpec) -> "EmpiricalHist":
-        """Bin index-vector rows by their flat state index."""
-        counts = np.bincount(flat_index(states, domain), minlength=domain.num_states)
-        return EmpiricalHist(counts=counts, total=int(counts.sum()))
+def visit_counts(states: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    """Visits of each enumerated state by the index-vector rows of states, binned by flat state index."""
+    return np.bincount(flat_index(states, domain), minlength=domain.num_states)
 
 
-def kl_divergence(truth: Pmf, empirical: EmpiricalHist) -> float:
-    """KL(pi || pi_hat) with additive smoothing eps = 1/total on the empirical bins."""
+def kl_divergence(truth: Pmf, counts: np.ndarray) -> float:
+    """KL(pi || pi_hat) with additive smoothing eps = 1/total on the empirical bins of the visit counts."""
     p = truth.p
-    if p.shape[0] != empirical.counts.shape[0]:
+    if p.shape[0] != counts.shape[0]:
         raise DomainError("pmf and histogram index different state spaces")
-    eps = 1.0 / empirical.total
-    q = (empirical.counts + eps) / (empirical.total + eps * p.shape[0])
+    total = int(counts.sum())
+    if total < 1:
+        raise DomainError("histogram counts must sum to a positive total")
+    eps = 1.0 / total
+    q = (counts + eps) / (total + eps * p.shape[0])
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
@@ -58,10 +45,9 @@ class RffEstimator:
         return self.frequencies.shape[0]
 
     @staticmethod
-    def create(dim: int, bandwidth: float, num_features: int = 500, rng=None) -> "RffEstimator":
+    def create(dim: int, bandwidth: float, num_features: int, rng: np.random.Generator) -> "RffEstimator":
         if num_features < 1 or not 0 < bandwidth < np.inf:
             raise DomainError(f"need num_features >= 1 and 0 < bandwidth < inf, got {num_features} and {bandwidth}")
-        rng = np.random.default_rng(0) if rng is None else rng
         freq = rng.normal(0.0, 1.0 / bandwidth, size=(num_features, dim))
         offs = rng.uniform(0.0, 2.0 * np.pi, size=num_features)
         return RffEstimator(frequencies=freq, offsets=offs, bandwidth=bandwidth)
@@ -167,9 +153,8 @@ def log_rmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(0.5 * np.log(mse))
 
 
-def jump_rate(trace, domain: DomainSpec) -> float:
+def jump_rate(states: np.ndarray, domain: DomainSpec) -> float:
     """Fraction of consecutive emitted states farther than JUMP_DISTANCE apart (L2, embedded)."""
-    states = trace.states if hasattr(trace, "states") else np.asarray(trace)
     if states.shape[0] < 2:
         raise DomainError("jump rate needs a trace of length >= 2")
     emb = domain.value_table[states]

@@ -27,8 +27,9 @@ log-softmax and cumulative draw, and gives the same bits: a max reduce over
 two entries is np.maximum of them; a sum of two terms has a single rounding
 either way; and the last column of the cumulative draw, cum / cum[-1], is
 exactly 1.0, above every uniform in [0, 1), so its first column
-c0 / (c0 + c1) alone decides the draw.  The log-proposals of the drawn and
-the current values are read with np.where on the two columns.
+c0 / (c0 + c1) alone decides the draw.  Under the Metropolis correction,
+and only there, the log-proposals of the drawn and the current values are
+read with np.where on the two columns.
 """
 
 import os
@@ -189,10 +190,11 @@ class _Kernel:
             )
         self.labels = ("low", "high") * (k // 2) if swap is not None else ("low",) * k
 
-    def table(self, states: np.ndarray, energy: np.ndarray, grad: np.ndarray, rows=None) -> np.ndarray:
-        """Log-softmax proposal tables of the chains in rows (default all), at states with energies and gradients.
+    def table(self, states: np.ndarray, energy: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Log-softmax proposal tables of every chain at states with energies and gradients.
 
-        Raises NumericError naming the first of those chains whose energy or
+        Each chain's table depends only on its own state, gradient, alpha and
+        tau.  Raises NumericError naming the first chain whose energy or
         table is not finite, so a bad model can never drive the proposal or
         the Metropolis test with NaNs.  Every table row holds the
         zero-distance stay entry, so a non-finite gradient, or a finite one
@@ -200,23 +202,21 @@ class _Kernel:
         so small that the move penalty is infinite only zeroes the move
         probabilities.
         """
-        alpha, tau = (self.alpha, self.tau) if rows is None else (self.alpha[rows], self.tau[rows])
         x = self.values[states]
         if self.two_level:
-            logp = _two_level_log_softmax(x, grad, self.values, alpha[:, None], tau[:, None])
+            logp = _two_level_log_softmax(x, grad, self.values, self.alpha[:, None], self.tau[:, None])
         else:
-            logp = _log_softmax(_logits(x, grad, self.values, alpha[:, None, None], tau[:, None, None]))
+            logp = _log_softmax(_logits(x, grad, self.values, self.alpha[:, None, None], self.tau[:, None, None]))
         if np.isnan(logp).any() or not np.isfinite(energy).all():
-            rows = np.arange(len(self.tau)) if rows is None else rows
             k = int(np.argmax(np.isnan(logp).any(axis=(1, 2)) | ~np.isfinite(energy)))
             if not np.isfinite(energy[k]):
                 cause = f"energy not finite (U = {float(energy[k])})"
             elif np.isfinite(grad[k]).all():
-                cause = f"gradient overflows the logits at tau = {float(tau[k])}"
+                cause = f"gradient overflows the logits at tau = {float(self.tau[k])}"
             else:
                 cause = f"{int(np.count_nonzero(~np.isfinite(grad[k])))} of {grad[k].size} gradient entries not finite"
-            exc = NumericError(f"{self.labels[rows[k]]} chain: {cause}")
-            exc.row = int(rows[k])  # the batch row at fault; run_batch names its seed
+            exc = NumericError(f"{self.labels[k]} chain: {cause}")
+            exc.row = k  # the batch row at fault; run_batch names its seed
             raise exc
         return logp
 
@@ -227,26 +227,15 @@ class _Kernel:
         g = np.asarray(g, dtype=float)
         return _Chains(states, u, g, self.table(states, u, g))
 
-    def propose(self, chains: _Chains, u: np.ndarray):
-        """Draw every coordinate of every chain from its carried table with the (K, dim) uniforms u.
-
-        Returns the proposals' chain records with the forward and reverse
-        log-proposals; the reverse one is read off each proposal's own table
-        under the Metropolis correction and is NaN without it.
-        """
+    def sample(self, logp: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Draw every coordinate of every chain from its (K, dim, levels) table logp with the (K, dim) uniforms u."""
         if self.two_level:
             # the generic draw's first column, from the same exp of the whole table; its last is exactly 1.0
-            c = np.exp(chains.logp)
-            prop = (c[..., 0] / (c[..., 0] + c[..., 1]) < u).astype(int)
-        else:
-            cum = np.exp(chains.logp).cumsum(axis=2)
-            cum /= cum[:, :, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
-            prop = (cum < u[:, :, None]).sum(axis=2)
-        forward_logq = self.logq(chains.logp, prop)
-        new = self.evaluate(prop)
-        if not self.mh:
-            return new, forward_logq, np.full(forward_logq.shape, np.nan)
-        return new, forward_logq, self.logq(new.logp, chains.states)
+            c = np.exp(logp)
+            return (c[..., 0] / (c[..., 0] + c[..., 1]) < u).astype(int)
+        cum = np.exp(logp).cumsum(axis=2)
+        cum /= cum[:, :, -1:]  # exact 1.0 in the last column; draws in [0,1) stay in range
+        return (cum < u[:, :, None]).sum(axis=2)
 
     def logq(self, logp: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Each chain's log-proposal of the (K, dim) value indices states, summed over coordinates."""
@@ -268,10 +257,11 @@ class _Kernel:
         chains and the accept flags.
         """
         dim = chains.states.shape[1]
-        new, forward_logq, reverse_logq = self.propose(chains, draws[:, :dim])
+        new = self.evaluate(self.sample(chains.logp, draws[:, :dim]))
         if not self.mh:
             return new, self.always
-        log_a = (new.energy - chains.energy) / self.tau + reverse_logq - forward_logq
+        reverse, forward = self.logq(new.logp, chains.states), self.logq(chains.logp, new.states)
+        log_a = (new.energy - chains.energy) / self.tau + reverse - forward
         accepted = _accepts(log_a, draws[:, dim])
         if accepted.all():
             return new, accepted
@@ -284,21 +274,18 @@ class _Kernel:
         The probability sees the energies of the states actually retained
         after the Metropolis decisions (U_next) together with those the
         iteration started from (U_prev).  A swap exchanges states, energies
-        and gradients, and rebuilds each table under the receiving chain's
-        (alpha, tau).  Returns the chains and the (pairs,) swap flags.
+        and gradients, and rebuilds every table under its chain's (alpha,
+        tau): an unswapped chain's table comes out bit for bit as it was.
+        Returns the chains and the (pairs,) swap flags.
         """
         e = chains.energy
         p = _swap_probs(self.swap, self.tau[0::2], self.tau[1::2], e[0::2], e[1::2], prev_energy[0::2], prev_energy[1::2])
         swapped = u < p
         if not swapped.any():
             return chains, swapped
-        rows = np.flatnonzero(np.repeat(swapped, 2))
-        order = np.arange(e.shape[0])
-        order[rows] = rows ^ 1
+        order = np.arange(e.shape[0]) ^ np.repeat(swapped, 2)
         states, energy, grad = chains.states[order], e[order], chains.grad[order]
-        logp = chains.logp.copy()
-        logp[rows] = self.table(states[rows], energy[rows], grad[rows], rows)
-        return _Chains(states, energy, grad, logp), swapped
+        return _Chains(states, energy, grad, self.table(states, energy, grad)), swapped
 
 
 @dataclass(frozen=True)
@@ -401,7 +388,8 @@ def run_batch(model: EnergyModel, configs) -> list:
     so a DREXEL run with rho=0 is trajectory-identical on its low chain to
     the standalone run.  Every iteration evaluates the energy once per
     chain, at its proposal.  A non-finite energy or gradient raises
-    NumericError naming the seed, the iteration and the chain.
+    NumericError naming the seed, the iteration and the chain.  Domains of
+    more than 32768 levels raise DomainError, as the trace is int16.
     """
     configs = list(configs)
     if not configs:
@@ -411,6 +399,8 @@ def run_batch(model: EnergyModel, configs) -> list:
         if replace(cfg, seed=first.seed) != first:
             raise DomainError(f"run_batch configs may differ only in seed: {cfg} vs {first}")
     domain, dim = model.domain, model.domain.dim
+    if domain.levels > 32768:
+        raise DomainError(f"the int16 trace holds value indices of at most 32768 levels, got {domain.levels}")
     replica = first.is_replica
     n = 2 if replica else 1
     params = first.chain_params()[:n] * len(configs)

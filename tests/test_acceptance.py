@@ -33,12 +33,12 @@ from drexel.energies import SYNTHETIC_NAMES, QuadraticEnergy
 from drexel.errors import PreconditionError
 from drexel.harness import run_experiment
 from drexel.metrics import (
-    EmpiricalHist,
     RffEstimator,
     jump_rate,
     kl_divergence,
     median_bandwidth,
     mmd_rff,
+    visit_counts,
 )
 from drexel.oracle import (
     balanced_joint_kernel,
@@ -246,9 +246,8 @@ def test_criterion_7_multimodal_exploration():
     ):
         configs = [RunConfig(sampler=sampler, iterations=100_000, seed=7 + seed, tau=1.0, **kw) for seed in range(10)]
         for trace in run_batch(model, configs):  # the 10 seeds' standalone runs, stepped together
-            hist = EmpiricalHist.from_states(trace.states, model.domain)
-            kls[sampler].append(kl_divergence(pi, hist))
-            jumps[sampler].append(jump_rate(trace, model.domain))
+            kls[sampler].append(kl_divergence(pi, visit_counts(trace.states, model.domain)))
+            jumps[sampler].append(jump_rate(trace.states, model.domain))
     kl_dream, kl_dmala = np.median(kls["dream"]), np.median(kls["dmala"])
     jr_dream, jr_dmala = np.median(jumps["dream"]), np.median(jumps["dmala"])
     elapsed = time.perf_counter() - t0

@@ -159,6 +159,11 @@ class TestSynthetic:
         with pytest.raises(DomainError):
             Synthetic2D(domain=dom, which="spiral")
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_barrier_rejected(self, c):
+        with pytest.raises(DomainError, match="barrier height c must be finite"):
+            make_synthetic("16gaussian", levels=8, c=c)
+
 
 class TestGradientFidelity:
     """Hand-derived gradients against central finite differences."""

@@ -435,6 +435,15 @@ class TestCli:
         proc = self._run("oracle-check", str(cfg_path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_barrier_exit_2(self, tmp_path, c):
+        """A non-finite c is a validation error that names c, raised before the target is enumerated."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SYNTH_CFG.replace("energy = wave", "energy = 16gaussian") + f"c = {c}\n")
+        proc = self._run("run", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: barrier height c must be finite, got {float(c)}\n"
+
     def test_kind_mismatch_exit_2(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SYNTH_CFG)

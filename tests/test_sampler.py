@@ -24,7 +24,7 @@ from drexel.domains import DomainSpec
 from drexel.energies import EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
-from drexel.sampler import _accepts, _Chains, _Kernel, _log_softmax, _logits, _swap_probs
+from drexel.sampler import _accepts, _Kernel, _log_softmax, _logits, _swap_probs
 from test_golden import GOLDEN, golden_config, trace_digest
 
 
@@ -48,7 +48,8 @@ def one_chain(model, state, params):
 
 def propose(kernel, chains, rng):
     """One proposal of a one-chain kernel: (proposal, forward log q, reverse log q)."""
-    new, forward_logq, reverse_logq = kernel.propose(chains, rng.random((1, chains.states.shape[1])))
+    new = kernel.evaluate(kernel.sample(chains.logp, rng.random((1, chains.states.shape[1]))))
+    forward_logq, reverse_logq = kernel.logq(chains.logp, new.states), kernel.logq(new.logp, chains.states)
     return new.states[0], forward_logq[0], reverse_logq[0]
 
 
@@ -149,11 +150,22 @@ class TestDlsStep:
         assert forward_logq == pytest.approx(logp[0, np.arange(2), proposal].sum(), abs=1e-12)
         assert reverse_logq == pytest.approx(logp[1, np.arange(2), state].sum(), abs=1e-12)
 
+    @pytest.mark.parametrize("sampler", ["dula", "drexel", "dmala"])
+    @pytest.mark.parametrize("domain", ["grid", "spins"])
+    def test_only_the_metropolis_test_reads_log_proposals(self, monkeypatch, sampler, domain):
+        """An unadjusted step never calls logq; an adjusted one must, or the patch would prove nothing."""
 
-    def test_reverse_logq_is_nan_without_metropolis(self):
-        model = make_ising_chain(2, 0.15, np.zeros(2))
-        _, _, reverse_logq = propose(*one_chain(model, np.array([0, 1]), ChainParams(alpha=0.4)), substream(3, SALT_LOW))
-        assert np.isnan(reverse_logq)
+        def no_logq(*args):
+            raise AssertionError("logq called")
+
+        monkeypatch.setattr(_Kernel, "logq", no_logq)
+        model = make_synthetic("16gaussian", levels=16) if domain == "grid" else make_ising_chain(3, 0.15, np.zeros(3))
+        cfg = RunConfig(iterations=50, **_run_kwargs(sampler))
+        if sampler == "dmala":
+            with pytest.raises(AssertionError, match="logq called"):
+                run_sampler(model, cfg)
+        else:
+            run_sampler(model, cfg)
 
     def test_mixed_metropolis_switch_rejected(self):
         model = make_ising_chain(2, 0.15, np.zeros(2))
@@ -285,6 +297,25 @@ class TestReplica:
                 run_batch(two_spin_ising, [cfg])
         assert [w.filename for w in record] == [__file__]
 
+    @pytest.mark.parametrize("domain", ["grid", "spins"])
+    def test_swap_keeps_the_bits_of_unswapped_tables(self, domain):
+        """A swap re-tables every row: the swapped pair's rows hold the other chain's state under their own
+        (alpha, tau), and the unswapped pair's tables come out bit-equal to their tables before the swap."""
+        model = make_synthetic("16gaussian", levels=16) if domain == "grid" else make_ising_chain(3, 0.15, np.zeros(3))
+        low, high = ChainParams(alpha=0.2, tau=1.0), ChainParams(alpha=0.4, tau=2.0)
+        kernel = _Kernel(model, (low, high) * 3, SwapConfig(variant="history", rho=1.0))
+        rng = np.random.default_rng(4)
+        chains = kernel.evaluate(rng.integers(0, model.domain.levels, size=(6, model.domain.dim)))
+        out, swapped = kernel.exchange(chains.energy, chains, np.array([1.0, 0.0, 1.0]))  # u = 1 never swaps, as p <= 1
+        assert swapped.tolist() == [False, True, False]
+        order = [0, 1, 3, 2, 4, 5]
+        assert np.array_equal(out.states, chains.states[order])
+        assert np.array_equal(_bits(out.energy), _bits(chains.energy[order]))
+        assert np.array_equal(_bits(out.grad), _bits(chains.grad[order]))
+        kept = [0, 1, 4, 5]
+        assert np.array_equal(_bits(out.logp[kept]), _bits(chains.logp[kept]))
+        assert np.array_equal(_bits(out.logp), _bits(kernel.evaluate(out.states).logp))
+
     def test_prev_energy_cache_consistency(self, two_spin_ising):
         """The carried energy, gradient and table equal a fresh evaluation after every step and swap test."""
 
@@ -383,14 +414,14 @@ class TestLongRunConvergence:
     @pytest.mark.slow
     @pytest.mark.parametrize("sampler,budget", [("dula", 0.02), ("dmala", 0.03)])
     def test_empirical_tv_after_many_iterations(self, binary_chain, sampler, budget):
-        from drexel.metrics import EmpiricalHist
+        from drexel.metrics import visit_counts
         from drexel.oracle import enumerate_target
 
         pi = enumerate_target(binary_chain)
         cfg = RunConfig(sampler=sampler, iterations=1_000_000, seed=3, alpha=0.1)
         trace = run_sampler(binary_chain, cfg)
-        hist = EmpiricalHist.from_states(trace.states, binary_chain.domain)
-        tv = 0.5 * np.abs(hist.counts / hist.total - pi.p).sum()
+        counts = visit_counts(trace.states, binary_chain.domain)
+        tv = 0.5 * np.abs(counts / counts.sum() - pi.p).sum()
         assert tv <= budget
 
 
@@ -672,12 +703,13 @@ class TestTwoLevelPath:
             prop = (cum < u[:, :, None]).sum(axis=2)
             forward = generic[(*cells, prop)].sum(axis=1)
             generic_new = _log_softmax(_logits(values[prop], grads[1], values, alpha, tau))
-            chains = _Chains(states, np.zeros(k), grads[0], table)
+            drawn = kernel.sample(table, u)
             if np.isnan(generic_new).any():
                 with pytest.raises(NumericError):
-                    kernel.propose(chains, u)
+                    kernel.evaluate(drawn)
                 return
-            new, forward_logq, reverse_logq = kernel.propose(chains, u)
+            new = kernel.evaluate(drawn)
+            forward_logq, reverse_logq = kernel.logq(table, new.states), kernel.logq(new.logp, states)
         assert new.states.dtype == prop.dtype and np.array_equal(new.states, prop)
         assert np.array_equal(_bits(new.logp), _bits(generic_new))
         assert np.array_equal(_bits(forward_logq), _bits(forward))
@@ -722,6 +754,14 @@ class TestRunBatch:
             for cfg, trace in zip(configs, batch):
                 assert trace.states.shape == (100, model.domain.dim)
                 assert trace_digest(trace) == trace_digest(run_sampler(model, cfg))
+
+    def test_levels_beyond_the_int16_trace_rejected(self):
+        """Value indices of more than 32768 levels would wrap in the int16 trace; such a domain is refused."""
+        cfg = RunConfig(sampler="dula", iterations=3, seed=1, alpha=1e-6)
+        with pytest.raises(DomainError, match="at most 32768 levels, got 65536"):
+            run_sampler(make_synthetic("wave", levels=65536), cfg)
+        trace = run_sampler(make_synthetic("wave", levels=32768), cfg)
+        assert trace.states.min() >= 0
 
     def test_configs_must_differ_only_in_seed(self, two_spin_ising):
         cfg = RunConfig(sampler="dmala", iterations=10, seed=1, alpha=0.2)
