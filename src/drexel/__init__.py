@@ -1,6 +1,6 @@
 """Gradient-based discrete samplers with replica exchange, plus exact oracles and a harness."""
 
-from .domains import DomainSpec, embed
+from .domains import DomainSpec
 from .energies import (
     QuadraticEnergy,
     RbmFreeEnergy,
@@ -29,7 +29,6 @@ __all__ = [
     "RunTrace",
     "SwapConfig",
     "Synthetic2D",
-    "embed",
     "make_ising_chain",
     "make_ising_lattice",
     "make_synthetic",

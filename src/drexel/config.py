@@ -147,6 +147,9 @@ def parse_config(text: str) -> ExperimentConfig:
         _SETTINGS[config.kind](config)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
+    # after RunConfig has checked both are >= 1; the jump rate needs two kept states
+    if config.kind == "synthetic" and len(range(0, config.iterations, config.thin)) < 2:
+        raise ConfigError(f"iterations = {config.iterations} with thin = {config.thin} keeps fewer than 2 states")
     return config
 
 
@@ -233,3 +236,5 @@ def load_config(path) -> ExperimentConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from None

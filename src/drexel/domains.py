@@ -24,11 +24,15 @@ class ReadOnlyArrays:
     Pickle hands arrays back writeable, so __setstate__ seals each one again.
     """
 
-    def __setstate__(self, state):
-        for value in state.values():
+    def _seal(self, **fields):
+        """Set fields past the frozen dataclass, marking each array among them read-only."""
+        for value in fields.values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-        self.__dict__.update(state)
+        self.__dict__.update(fields)
+
+    def __setstate__(self, state):
+        self._seal(**state)
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,7 @@ class DomainSpec(ReadOnlyArrays):
             raise DomainError(f"unknown domain kind {self.kind!r}")
         if self.kind in (BINARY01, SPIN_PM1) and self.levels != 2:
             raise DomainError(f"{self.kind} domains have exactly 2 levels")
-        values.setflags(write=False)
-        object.__setattr__(self, "value_table", values)
+        self._seal(value_table=values)
 
     @staticmethod
     def binary01(dim: int) -> "DomainSpec":
@@ -80,47 +83,18 @@ class DomainSpec(ReadOnlyArrays):
     def num_states(self) -> int:
         return self.levels**self.dim
 
-    def validate_state(self, state: np.ndarray) -> np.ndarray:
-        state = np.asarray(state)
-        if state.shape != (self.dim,):
-            raise DomainError(f"state has shape {state.shape}, domain dim is {self.dim}")
-        if state.min(initial=0) < 0 or state.max(initial=0) >= self.levels:
-            raise DomainError(f"state indices out of range [0, {self.levels}): {state}")
-        return state.astype(np.int64, copy=False)
-
-
-def embed(state: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """Map index vector to embedded real coordinates."""
-    return domain.value_table[domain.validate_state(state)]
-
-
-def state_index(state: np.ndarray, domain: DomainSpec) -> int:
-    """Bijection state -> flat index; coordinate 0 is most significant."""
-    idx = 0
-    for k in domain.validate_state(state):
-        idx = idx * domain.levels + int(k)
-    return idx
-
 
 def flat_index(states: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """state_index of every row of a (K, dim) array of in-range index vectors, in one product."""
+    """Flat index of every row of a (K, dim) array of in-range index vectors; coordinate 0 is most significant."""
     weights = domain.levels ** np.arange(domain.dim - 1, -1, -1, dtype=np.int64)
     return np.asarray(states, dtype=np.int64) @ weights
 
 
-def index_state(index: int, domain: DomainSpec) -> np.ndarray:
-    """Inverse of state_index."""
-    if not 0 <= index < domain.num_states:
-        raise DomainError(f"state index {index} out of range for {domain.num_states} states")
-    out = np.empty(domain.dim, dtype=np.int64)
-    for d in range(domain.dim - 1, -1, -1):
-        out[d] = index % domain.levels
-        index //= domain.levels
-    return out
-
-
 def all_states(domain: DomainSpec) -> np.ndarray:
-    """All index vectors in state_index order, shape (num_states, dim); CapacityError past ENUMERATION_CAPACITY."""
+    """All index vectors in flat index order, coordinate 0 most significant, shape (num_states, dim).
+
+    CapacityError past ENUMERATION_CAPACITY.
+    """
     n = domain.num_states
     if n > ENUMERATION_CAPACITY:
         raise CapacityError(f"domain has {n} states, enumeration capped at {ENUMERATION_CAPACITY}")

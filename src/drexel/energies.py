@@ -87,9 +87,7 @@ class QuadraticEnergy(EnergyModel):
         wts = np.zeros(nbr.shape)
         nbr[slot, rows] = cols
         wts[slot, rows] = vals
-        for a in (nbr, wts, b):
-            a.setflags(write=False)
-        self.__dict__.update(domain=domain, nbr=nbr, wts=wts, b=b, w=w)
+        self._seal(domain=domain, nbr=nbr, wts=wts, b=b, w=w)
 
     @property
     def J(self) -> np.ndarray:
@@ -131,11 +129,7 @@ class RbmFreeEnergy(EnergyModel):
             raise DomainError(f"c has shape {c.shape}, expected ({W.shape[0]},)")
         if b.shape != (d,):
             raise DomainError(f"b has shape {b.shape}, expected ({d},)")
-        for a in (W, c, b):
-            a.setflags(write=False)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
+        self._seal(W=W, c=c, b=b)
 
     def value_and_grad_batch(self, xs):
         """Stacked matrix-vector products, one per row, so each row's bits do not depend on the batch size."""

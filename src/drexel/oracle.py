@@ -37,7 +37,7 @@ def _within(count: int, limit: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Pmf(ReadOnlyArrays):
-    """Exact probabilities over enumerated states (state_index order)."""
+    """Exact probabilities over enumerated states, in all_states order: coordinate 0 is most significant."""
 
     p: np.ndarray
 
@@ -47,12 +47,11 @@ class Pmf(ReadOnlyArrays):
             raise NumericError("pmf entries must be finite")
         if p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
             raise DomainError("pmf entries must be nonnegative and sum to 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        self._seal(p=p)
 
 
 @dataclass(frozen=True)
-class Kernel:
+class Kernel(ReadOnlyArrays):
     """Row-stochastic transition matrix over enumerated states."""
 
     matrix: np.ndarray
@@ -65,8 +64,7 @@ class Kernel:
             raise NumericError("kernel entries must be finite")
         if k.min() < 0 or np.abs(k.sum(axis=1) - 1.0).max() > 1e-10:
             raise DomainError("kernel rows must be nonnegative and sum to 1")
-        k.setflags(write=False)
-        object.__setattr__(self, "matrix", k)
+        self._seal(matrix=k)
 
 
 def enumerate_target(model: EnergyModel, tau: float = 1.0) -> Pmf:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainSpec, embed_all
+from .domains import DomainSpec, ReadOnlyArrays, embed_all
 from .energies import RbmFreeEnergy, _sigmoid
 from .errors import DomainError
 from .rng import SALT_DATA, substream
@@ -37,7 +37,7 @@ class RbmTrainConfig:
 
 
 @dataclass(frozen=True)
-class BinaryDataset:
+class BinaryDataset(ReadOnlyArrays):
     """Rows of equal-length binary vectors."""
 
     rows: np.ndarray
@@ -48,8 +48,7 @@ class BinaryDataset:
             raise DomainError("dataset must be a nonempty 2-d array")
         if rows.min() < 0 or rows.max() > 1:
             raise DomainError("dataset entries must be 0/1")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        self._seal(rows=rows)
 
     @property
     def size(self) -> int:

@@ -204,6 +204,15 @@ def test_reference_and_check_lengths_rejected(base, bad):
         parse_config(_set(base, bad))
 
 
+@pytest.mark.parametrize("iterations, thin", [(5, 10), (1, 1), (9, 9)])
+def test_synthetic_run_keeping_fewer_than_two_states_rejected(iterations, thin):
+    """The jump rate needs two kept states, so the config fails at parse time rather than after the sampling."""
+    with pytest.raises(ConfigError, match=f"iterations = {iterations} with thin = {thin}"):
+        parse_config(_set("synthetic", f"iterations = {iterations}") + f"thin = {thin}\n")
+    parse_config(_set("synthetic", f"iterations = {thin + 1}") + f"thin = {thin}\n")
+    parse_config(_set("ising", f"iterations = {iterations}") + f"thin = {thin}\n")
+
+
 def test_oracle_check_requires_chain_params():
     with pytest.raises(ConfigError, match="alpha"):
         parse_config("kind = oracle-check\nspins = 2\nseed = 1\n")

@@ -15,7 +15,7 @@ from drexel import (
     make_synthetic,
     run_sampler,
 )
-from drexel.domains import DomainSpec, embed
+from drexel.domains import DomainSpec
 from drexel.energies import (
     SYNTHETIC_NAMES,
     EnergyModel,
@@ -26,6 +26,7 @@ from drexel.energies import (
 )
 from drexel.errors import DomainError
 from drexel.oracle import enumerate_target, exact_single_kernel
+from drexel.rbm import BinaryDataset
 
 from conftest import gradient_matches_fd, random_coupling, traced_peak
 from test_golden import trace_digest
@@ -33,11 +34,11 @@ from test_golden import trace_digest
 
 class TestQuadratic:
     def test_two_spin_value(self, two_spin_ising):
-        u = two_spin_ising.value_batch(embed(np.array([1, 1]), two_spin_ising.domain)[None, :])
+        u = two_spin_ising.value_batch(two_spin_ising.domain.value_table[np.array([[1, 1]])])
         assert u[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_two_spin_gradient(self, two_spin_ising):
-        g = two_spin_ising.value_and_grad_batch(embed(np.array([1, 1]), two_spin_ising.domain)[None, :])[1]
+        g = two_spin_ising.value_and_grad_batch(two_spin_ising.domain.value_table[np.array([[1, 1]])])[1]
         assert np.allclose(g[0], [0.3, 0.3], atol=1e-15)
 
     def test_asymmetric_matrix_rejected(self):
@@ -95,14 +96,14 @@ class TestRbm:
     def test_zero_weights_value(self):
         dom = DomainSpec.binary01(4)
         model = RbmFreeEnergy(domain=dom, W=np.zeros((8, 4)), c=np.zeros(8), b=np.zeros(4))
-        u = model.value_batch(embed(np.array([1, 0, 1, 0]), model.domain)[None, :])
+        u = model.value_batch(model.domain.value_table[np.array([[1, 0, 1, 0]])])
         assert u[0] == pytest.approx(8 * np.log(2), rel=1e-12)
 
     def test_zero_weights_gradient_is_bias(self):
         dom = DomainSpec.binary01(3)
         b = np.array([0.5, -1.0, 2.0])
         model = RbmFreeEnergy(domain=dom, W=np.zeros((2, 3)), c=np.zeros(2), b=b)
-        assert np.allclose(model.value_and_grad_batch(embed(np.array([0, 1, 0]), model.domain)[None, :])[1][0], b)
+        assert np.allclose(model.value_and_grad_batch(model.domain.value_table[np.array([[0, 1, 0]])])[1][0], b)
 
     def test_softplus_overflow_safe(self):
         dom = DomainSpec.binary01(2)
@@ -377,6 +378,8 @@ def test_sigmoid_keeps_the_bits_of_the_where_form(values):
         make_ising_chain(3, 0.15, np.zeros(3)),
         RbmFreeEnergy(domain=DomainSpec.binary01(3), W=np.ones((2, 3)), c=np.zeros(2), b=np.zeros(3)),
         enumerate_target(make_ising_chain(3, 0.15, np.zeros(3))),
+        exact_single_kernel(make_ising_chain(2, 0.15, np.zeros(2)), ChainParams(alpha=0.2)),
+        BinaryDataset(rows=np.eye(3, dtype=np.int64)),
     ],
     ids=lambda r: type(r).__name__,
 )

@@ -8,17 +8,19 @@ floating-point arithmetic of a step changed; re-pin a hash only together
 with the reason it moved.
 """
 
+import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import drexel
 from drexel import RunConfig, make_ising_chain, make_synthetic, run_sampler
-from drexel.config import parse_config
+from drexel.config import load_config, parse_config
 from drexel.domains import DomainSpec, embed_all
 from drexel.energies import RbmFreeEnergy
 from drexel.harness import run_experiment
@@ -289,6 +291,12 @@ def test_oracle_report_hash(spins, tmp_path):
     run_experiment(parse_config(ORACLE_CHECK_CONFIG.format(spins=spins)), out=str(tmp_path))
     report = (tmp_path / "report.txt").read_bytes()
     assert hashlib.sha256(report).hexdigest() == REPORT_GOLDEN[spins]
+
+
+def test_bundled_oracle_config_is_the_2_spin_golden_config():
+    """REPORT_GOLDEN[2] is the report of scripts/configs/oracle_2spin.cfg: the two configs differ only in out."""
+    bundled = load_config(Path(__file__).resolve().parent.parent / "scripts" / "configs" / "oracle_2spin.cfg")
+    assert dataclasses.replace(parse_config(ORACLE_CHECK_CONFIG.format(spins=2)), out=bundled.out) == bundled
 
 
 @pytest.mark.parametrize("spins", sorted(REPORT_GOLDEN))

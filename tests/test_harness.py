@@ -426,6 +426,13 @@ class TestCli:
         assert proc.returncode == 2
         assert "alpah" in proc.stderr
 
+    def test_config_not_utf8_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"kind = synthetic\n# \xff\n")
+        proc = self._run("run", str(cfg_path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: config {cfg_path} is not UTF-8") and proc.stderr.count("\n") == 1
+
     def test_capacity_error_exit_3(self, tmp_path):
         cfg_path = tmp_path / "big.cfg"
         cfg_path.write_text(

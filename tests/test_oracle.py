@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from drexel import ChainParams, SwapConfig, make_ising_chain, make_ising_lattice, make_synthetic
-from drexel.domains import DomainSpec, embed_all, state_index
+from drexel.domains import DomainSpec, embed_all
 from drexel.energies import QuadraticEnergy, RbmFreeEnergy, _sigmoid
 from drexel.errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
 from drexel.oracle import (

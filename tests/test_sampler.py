@@ -20,7 +20,7 @@ from drexel import (
     run_batch,
     run_sampler,
 )
-from drexel.domains import DomainSpec
+from drexel.domains import DomainSpec, flat_index
 from drexel.energies import EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
@@ -473,19 +473,17 @@ def kernel_run_counts(name):
     One two-chain kernel is stepped as run_batch steps it: both chains'
     uniforms from the low and high generators, then the swap uniform.
     """
-    from drexel.domains import state_index
-
     with_mh, iters, low, high, seeds = KERNEL_RUNS[name]
     model = make_ising_chain(2, 0.15, np.zeros(2))
     kernel = _Kernel(model, kernel_params(with_mh), SwapConfig(variant="history", rho=1.0))
     rng_low, rng_high, rng_swap = [substream(seed, SALT_LOW) for seed in seeds]
     chains = kernel.evaluate(np.array([low, high]))
     counts = np.zeros((16, 16))
-    prev = state_index(chains.states[0], model.domain) * 4 + state_index(chains.states[1], model.domain)
+    prev = int(flat_index(chains.states, model.domain) @ (4, 1))
     for _ in range(iters):
         kept = kernel.step(chains, kernel.draw((rng_low, rng_high)))[0]
         chains, _ = kernel.exchange(chains.energy, kept, np.array([rng_swap.random()]))
-        cur = state_index(chains.states[0], model.domain) * 4 + state_index(chains.states[1], model.domain)
+        cur = int(flat_index(chains.states, model.domain) @ (4, 1))
         counts[prev, cur] += 1
         prev = cur
     return counts
