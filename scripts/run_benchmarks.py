@@ -28,6 +28,9 @@ def main():
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--only", nargs="*", default=None)
     args = parser.parse_args()
+    unmatched = [sel for sel in args.only or () if not any(sel in name for name in ORDER)]
+    if unmatched:
+        parser.error(f"--only matches no bundled config: {', '.join(unmatched)}")
 
     here = pathlib.Path(__file__).parent / "configs"
     for name in ORDER:

@@ -12,7 +12,7 @@ from dataclasses import field, make_dataclass
 from .energies import SYNTHETIC_NAMES
 from .errors import ConfigError, DomainError
 from .rbm import RbmTrainConfig
-from .sampler import BDREAM, BDREXEL, REPLICA_SAMPLERS, ChainParams, RunConfig, SwapConfig
+from .sampler import BDREAM, BDREXEL, DMALA, DREAM, DREXEL, DULA, REPLICA_SAMPLERS, ChainParams, RunConfig, SwapConfig
 
 KINDS = ("synthetic", "ising", "rbm-train", "rbm-sample", "oracle-check")
 SAMPLING_KINDS = ("synthetic", "ising", "rbm-sample")
@@ -37,6 +37,9 @@ _LEAST = (
     ("oracle-check", "spins", 1),
     ("oracle-check", "n_max", 1),
 )
+# sampler -> the sampler keys it never reads, which a sampling kind may not set
+_UNREAD = dict.fromkeys((DULA, DMALA), ("alpha_high", "tau_high", "rho", "sigma2"))
+_UNREAD |= dict.fromkeys((DREXEL, DREAM), ("sigma2",))
 
 # key -> (type, default); kind and seed have none, and _REQUIRED lists the keys each kind must set
 _SCHEMA = {
@@ -172,6 +175,9 @@ def _require_keys(values):
         _require(values, key, f"sampler {sampler!r}")
     if sampler in (BDREXEL, BDREAM) and "sigma2" not in values:
         raise ConfigError(f"sampler {sampler!r} requires the sigma2 key")
+    for key in _UNREAD.get(sampler, ()):
+        if key in values:
+            raise ConfigError(f"sampler {sampler!r} never reads the {key} key")
 
 
 def check_threads(threads: int) -> int:
@@ -198,16 +204,13 @@ def _validate(config):
         raise ConfigError("flip_prob must be in [0, 0.5)")
 
 
-def run_configs(config: ExperimentConfig) -> list:
-    """Each repeat's RunConfig, at seed config.seed + r; alpha_high = tau_high = 0.0 leaves them unset."""
-    return [
-        RunConfig(
-            sampler=config.sampler, iterations=config.iterations, seed=config.seed + r, alpha=config.alpha,
-            tau=config.tau, alpha_high=config.alpha_high or None, tau_high=config.tau_high or None, rho=config.rho,
-            sigma2=config.sigma2, thin=config.thin, init=config.init, init_prob=config.init_prob,
-        )
-        for r in range(config.repeats)
-    ]
+def run_config(config: ExperimentConfig) -> RunConfig:
+    """The RunConfig of every repeat, at config.seed; alpha_high = tau_high = 0.0 leaves them unset."""
+    return RunConfig(
+        sampler=config.sampler, iterations=config.iterations, seed=config.seed, alpha=config.alpha, tau=config.tau,
+        alpha_high=config.alpha_high or None, tau_high=config.tau_high or None, rho=config.rho,
+        sigma2=config.sigma2, thin=config.thin, init=config.init, init_prob=config.init_prob,
+    )
 
 
 def oracle_settings(config: ExperimentConfig) -> tuple:
@@ -224,7 +227,7 @@ def rbm_train_config(config: ExperimentConfig) -> RbmTrainConfig:
 
 
 # what each kind runs with; parse_config builds it to have its values checked
-_SETTINGS = dict.fromkeys(SAMPLING_KINDS, run_configs) | {
+_SETTINGS = dict.fromkeys(SAMPLING_KINDS, run_config) | {
     "oracle-check": oracle_settings,
     "rbm-train": rbm_train_config,
 }

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, check_threads, oracle_settings, rbm_train_config, run_configs
+from .config import ExperimentConfig, check_threads, oracle_settings, rbm_train_config, run_config
 from .domains import DomainSpec, embed_all, flat_index
 from .energies import make_ising_chain, make_ising_lattice, make_synthetic
 from .errors import ConfigError, DomainError
@@ -96,10 +96,10 @@ def _write_csv(path, header, rows) -> None:
 def _run_rows(trace):
     """write_run_csv's rows, RUN_CSV_BLOCK_ROWS at a time; flags go through a uint8 view to print as 0/1."""
     high = trace.is_replica
-    for start in range(0, trace.iterations, RUN_CSV_BLOCK_ROWS):
+    for start in range(0, trace.energy_low.shape[0], RUN_CSV_BLOCK_ROWS):
         block = slice(start, start + RUN_CSV_BLOCK_ROWS)
         yield from zip(
-            range(start, trace.iterations),
+            range(start, block.stop),
             trace.energy_low[block].tolist(),
             trace.energy_high[block].tolist() if high else repeat(""),
             trace.accepted_low[block].view(np.uint8).tolist(),
@@ -170,18 +170,18 @@ def _rbm_sample_metrics(model, config, trace):
 
 
 def _run_group(job):
-    """Sample one group of repeats' run configs as a single batch, then measure each trace."""
-    model, runs, measure = job
-    return [(trace, measure(trace) | _chain_metrics(trace)) for trace in run_batch(model, runs)]
+    """Sample one group of repeat seeds as a single batch, then measure each trace."""
+    model, run, seeds, measure = job
+    return [(trace, measure(trace) | _chain_metrics(trace)) for trace in run_batch(model, run, seeds)]
 
 
-def _run_repeats(model, runs, measure, threads):
-    """All repeats as one batch, or split into `threads` contiguous groups, one batch per worker process."""
+def _run_repeats(model, run, seeds, measure, threads):
+    """All repeat seeds as one batch, or split into `threads` contiguous groups, one batch per worker process."""
     if threads <= 1:
-        return _run_group((model, runs, measure))
-    groups = [[runs[i] for i in g] for g in np.array_split(np.arange(len(runs)), threads) if g.size]
+        return _run_group((model, run, seeds, measure))
+    groups = [g.tolist() for g in np.array_split(seeds, threads) if g.size]
     with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-        parts = pool.map(_run_group, [(model, g, measure) for g in groups])
+        parts = pool.map(_run_group, [(model, run, g, measure) for g in groups])
         return [result for part in parts for result in part]
 
 
@@ -213,7 +213,7 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
         return _run_rbm_train(config, out)
     if config.kind == "oracle-check":
         return _run_oracle_check(config, out)
-    runs = run_configs(config)  # checks every sampler value before any model work
+    run = run_config(config)  # checks every sampler value before any model work
 
     if config.kind == "synthetic":
         model = _build_model(config)
@@ -238,7 +238,7 @@ def run_experiment(config: ExperimentConfig, out=None, threads=None) -> dict:
         extra = [f"gibbs_reference = {config.gibbs_burn_in} burn-in + {n_keep} kept steps per repeat"]
     else:
         raise DomainError(f"unknown kind {config.kind!r}")
-    results = _run_repeats(model, runs, measure, threads)
+    results = _run_repeats(model, run, [config.seed + r for r in range(config.repeats)], measure, threads)
 
     for trace, metrics in results:
         write_run_csv(os.path.join(out, f"run_{trace.seed}.csv"), trace)

@@ -164,6 +164,4 @@ def jump_rate(states: np.ndarray, domain: DomainSpec) -> float:
 
 def swap_rate(trace) -> float:
     """Successful swaps per iteration; 0.0 for single-chain runs (no attempts)."""
-    if trace.swap_attempts == 0:
-        return 0.0
-    return trace.swap_successes / trace.iterations
+    return float(np.mean(trace.swapped)) if trace.is_replica else 0.0

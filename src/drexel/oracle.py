@@ -297,8 +297,6 @@ class SpectralReport:
     lambda0_error: float
     max_bound_violation: float
     reconstruction_error: float
-    db_residual: float
-    n_max: int
 
     @property
     def bound_holds(self) -> bool:
@@ -342,8 +340,6 @@ def spectral_tv_bound_check(kernel: Kernel, pmf: Pmf, n_max: int) -> SpectralRep
         lambda0_error=float(lambda0_error),
         max_bound_violation=float(worst),
         reconstruction_error=recon,
-        db_residual=float(residual),
-        n_max=n_max,
     )
 
 

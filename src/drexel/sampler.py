@@ -35,7 +35,7 @@ read with np.where on the two columns.
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -352,9 +352,6 @@ class RunTrace:
     accepted_low: np.ndarray
     accepted_high: Optional[np.ndarray]
     swapped: Optional[np.ndarray]
-    iterations: int
-    swap_attempts: int
-    swap_successes: int
     seed: int
     thin: int
 
@@ -372,14 +369,14 @@ def _draw_init(domain: DomainSpec, config: RunConfig, rng: np.random.Generator) 
 
 
 def run_sampler(model: EnergyModel, config: RunConfig) -> RunTrace:
-    """Run a configured sampler; fully determined by (seed, config).  The one-config run_batch."""
-    return run_batch(model, [config])[0]
+    """Run a configured sampler; fully determined by (seed, config).  The one-seed run_batch."""
+    return run_batch(model, config, [config.seed])[0]
 
 
-def run_batch(model: EnergyModel, configs) -> list:
-    """Run configs that differ only in seed as one batch; one RunTrace per config, in order.
+def run_batch(model: EnergyModel, config: RunConfig, seeds) -> list:
+    """Run config at each of seeds, which replace config.seed, as one batch; one RunTrace per seed, in order.
 
-    All K = len(configs) x chains-per-run chains step together through one
+    All K = len(seeds) x chains-per-run chains step together through one
     kernel over a (K, dim) state array.  Each chain keeps its own low or
     high substream and each replica pair its own swap substream, drawing
     dim uniforms (plus 1 under Metropolis) per iteration, so every trace
@@ -391,31 +388,26 @@ def run_batch(model: EnergyModel, configs) -> list:
     NumericError naming the seed, the iteration and the chain.  Domains of
     more than 32768 levels raise DomainError, as the trace is int16.
     """
-    configs = list(configs)
-    if not configs:
-        raise DomainError("run_batch needs at least one config")
-    first = configs[0]
-    for cfg in configs[1:]:
-        if replace(cfg, seed=first.seed) != first:
-            raise DomainError(f"run_batch configs may differ only in seed: {cfg} vs {first}")
+    seeds = list(seeds)
+    if not seeds:
+        raise DomainError("run_batch needs at least one seed")
     domain, dim = model.domain, model.domain.dim
     if domain.levels > 32768:
         raise DomainError(f"the int16 trace holds value indices of at most 32768 levels, got {domain.levels}")
-    replica = first.is_replica
+    replica = config.is_replica
     n = 2 if replica else 1
-    params = first.chain_params()[:n] * len(configs)
-    seeds = [cfg.seed for cfg in configs]
+    params = config.chain_params()[:n] * len(seeds)
     rngs = [substream(seed, salt) for seed in seeds for salt in (SALT_LOW, SALT_HIGH)[:n]]
     swap_rngs = [substream(seed, SALT_SWAP) for seed in seeds] if replica else []
-    kernel = _Kernel(model, params, first.swap_config() if replica else None)
-    iters, thin = first.iterations, first.thin
-    states = np.empty((len(configs), len(range(0, iters, thin)), dim), dtype=np.int16)
+    kernel = _Kernel(model, params, config.swap_config() if replica else None)
+    iters, thin = config.iterations, config.thin
+    states = np.empty((len(seeds), len(range(0, iters, thin)), dim), dtype=np.int16)
     energies = np.empty((len(rngs), iters))
     accepted = np.empty((len(rngs), iters), dtype=bool)
-    swapped = np.zeros((len(configs), iters), dtype=bool)
+    swapped = np.zeros((len(seeds), iters), dtype=bool)
     i = None
     try:
-        chains = kernel.evaluate(np.stack([_draw_init(domain, first, rng) for rng in rngs]))
+        chains = kernel.evaluate(np.stack([_draw_init(domain, config, rng) for rng in rngs]))
         for i in range(iters):
             prev_energy = chains.energy
             chains, accepted[:, i] = kernel.step(chains, kernel.draw(rngs))
@@ -436,9 +428,6 @@ def run_batch(model: EnergyModel, configs) -> list:
             accepted_low=accepted[r * n],
             accepted_high=accepted[r * n + 1] if replica else None,
             swapped=swapped[r] if replica else None,
-            iterations=iters,
-            swap_attempts=iters if replica else 0,
-            swap_successes=int(swapped[r].sum()),
             seed=seed,
             thin=thin,
         )

@@ -244,8 +244,8 @@ def test_criterion_7_multimodal_exploration():
         ("dmala", dict(alpha=0.023)),
         ("dream", dict(alpha=0.023, alpha_high=0.053, tau_high=2.0)),
     ):
-        configs = [RunConfig(sampler=sampler, iterations=100_000, seed=7 + seed, tau=1.0, **kw) for seed in range(10)]
-        for trace in run_batch(model, configs):  # the 10 seeds' standalone runs, stepped together
+        cfg = RunConfig(sampler=sampler, iterations=100_000, seed=7, tau=1.0, **kw)
+        for trace in run_batch(model, cfg, range(7, 17)):  # the 10 seeds' standalone runs, stepped together
             kls[sampler].append(kl_divergence(pi, visit_counts(trace.states, model.domain)))
             jumps[sampler].append(jump_rate(trace.states, model.domain))
     kl_dream, kl_dmala = np.median(kls["dream"]), np.median(kls["dmala"])
@@ -275,14 +275,8 @@ def test_criterion_8_ising_ordering():
         ("dmala", dict(alpha=0.4)),
         ("dream", dict(alpha=0.4, alpha_high=0.9, tau_high=5.0)),
     ):
-        configs = [
-            RunConfig(
-                sampler=sampler, iterations=iters, seed=7 + seed, tau=1.0,
-                init="bernoulli", init_prob=0.6, **kw,
-            )
-            for seed in range(10)
-        ]
-        for trace in run_batch(model, configs):
+        cfg = RunConfig(sampler=sampler, iterations=iters, seed=7, tau=1.0, init="bernoulli", init_prob=0.6, **kw)
+        for trace in run_batch(model, cfg, range(7, 17)):
             emb = model.domain.value_table[trace.states.astype(np.int64)]
             cum = np.cumsum(emb, axis=0) / np.arange(1, iters + 1)[:, None]
             mse = np.mean((cum - mag_truth) ** 2, axis=1)

@@ -79,6 +79,21 @@ seed = 1
     assert parse_config(text + "sigma2 = 0.0\n").sigma2 == 0.0
 
 
+@pytest.mark.parametrize(
+    "sampler, key",
+    [("drexel", "sigma2"), ("dream", "sigma2")]
+    + [(sampler, key) for sampler in ("dula", "dmala") for key in ("alpha_high", "tau_high", "rho", "sigma2")],
+)
+def test_keys_the_sampler_never_reads_rejected(sampler, key):
+    """A key that the chosen sampler ignores is an error, not a value that meta.txt echoes as if it were used."""
+    text = MINIMAL_SYNTHETIC.replace("dmala", sampler)
+    if sampler in ("drexel", "dream"):
+        text += "alpha_high = 0.05\ntau_high = 2.0\n"
+    parse_config(text)
+    with pytest.raises(ConfigError, match=f"sampler '{sampler}' never reads the {key} key"):
+        parse_config(text + f"{key} = 0.5\n")
+
+
 def test_replica_sampler_requires_high_chain():
     text = MINIMAL_SYNTHETIC.replace("dmala", "dream")
     with pytest.raises(ConfigError, match="alpha_high"):
@@ -142,7 +157,8 @@ def test_bernoulli_init_needs_a_two_level_grid():
 # a valid config of each kind, to set one bad value in
 BASES = {
     "synthetic": MINIMAL_SYNTHETIC,
-    "replica": MINIMAL_SYNTHETIC.replace("dmala", "dream") + "alpha_high = 0.05\ntau_high = 2.0\n",
+    # bdream reads every high-chain and swap key, so each bad value reaches ChainParams or SwapConfig
+    "replica": MINIMAL_SYNTHETIC.replace("dmala", "bdream") + "alpha_high = 0.05\ntau_high = 2.0\nsigma2 = 0.5\n",
     "ising": "kind = ising\nside = 4\nsampler = dmala\nalpha = 0.4\niterations = 100\nseed = 3\n",
     "rbm-sample": "kind = rbm-sample\nweights = w.bin\nsampler = dmala\nalpha = 0.2\niterations = 10\nseed = 1\n",
     "rbm-train": "kind = rbm-train\nvisible = 16\nhidden = 8\nseed = 1\n",

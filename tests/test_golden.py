@@ -13,6 +13,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,9 @@ def trace_digest(trace) -> str:
         else:
             h.update(str(arr.dtype).encode() + str(arr.shape).encode())
             h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(repr((trace.iterations, trace.swap_attempts, trace.swap_successes, trace.seed, trace.thin)).encode())
+    iterations, swaps = trace.energy_low.shape[0], int(trace.swapped.sum()) if trace.is_replica else 0
+    # the (iterations, swap attempts, swap successes, seed, thin) tuple, as the digests were pinned
+    h.update(repr((iterations, iterations if trace.is_replica else 0, swaps, trace.seed, trace.thin)).encode())
     return h.hexdigest()
 
 
@@ -233,10 +236,11 @@ def test_whole_run_hash(kind, tmp_path, monkeypatch):
     assert artifacts_digest(out) == WHOLE_RUN_GOLDEN[kind]
 
 
+@pytest.mark.parametrize("threads", [2, 4])
 @pytest.mark.parametrize("kind", ["synthetic", "rbm-sample"])
-def test_two_threads_write_the_same_bytes(kind, tmp_path, monkeypatch):
-    """Repeats split over two worker processes give the single-process artifacts."""
-    out = whole_run(kind, tmp_path, monkeypatch, threads=2)
+def test_two_threads_write_the_same_bytes(kind, threads, tmp_path, monkeypatch):
+    """Repeats split over worker processes give the single-process artifacts; 4 threads leave one of 3 idle."""
+    out = whole_run(kind, tmp_path, monkeypatch, threads=threads)
     assert artifacts_digest(out) == WHOLE_RUN_GOLDEN[kind]
 
 
@@ -315,6 +319,22 @@ def test_oracle_report_does_not_depend_on_blas_threads(spins, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256((out / "report.txt").read_bytes()).hexdigest() == REPORT_GOLDEN[spins], threads
+
+
+def test_run_benchmarks_only_selects_bundled_configs(tmp_path):
+    """--only oracle writes the golden report under runs/ of the cwd; a selector matching no config fails."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmarks.py"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drexel.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = partial(subprocess.run, capture_output=True, text=True, env=env, cwd=tmp_path)
+    proc = run([sys.executable, str(script), "--only", "oracle"])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256((tmp_path / "runs" / "oracle" / "report.txt").read_bytes()).hexdigest() == REPORT_GOLDEN[2]
+    (tmp_path / "none").mkdir()
+    proc = run([sys.executable, str(script), "--only", "oracle", "nosuch"], cwd=tmp_path / "none")
+    assert proc.returncode != 0
+    assert proc.stderr.endswith("--only matches no bundled config: nosuch\n")
+    assert not (tmp_path / "none" / "runs").exists()  # refused before running the configs it does match
 
 
 MH_REPORT_GOLDEN = "6beb49daf3fa1102b6836d3503fe4779ed3ade34140d6815b7f6f2d007f0794d"

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from drexel.config import _SCHEMA, parse_config, run_configs
+from drexel.config import _SCHEMA, parse_config, run_config
 from drexel.domains import DomainSpec, embed_all
 from drexel.energies import EnergyModel, make_ising_lattice
 from drexel.errors import ConfigError, DomainError
@@ -102,7 +102,7 @@ class TestSyntheticRuns:
         rng = substream(cfg.seed, SALT_TRUTH)
         truth_samples = embed_all(model.domain)[rng.choice(truth.p.shape[0], size=cfg.reference_samples, p=truth.p)]
         rff = RffEstimator.create(2, median_bandwidth(truth_samples), cfg.mmd_features, rng)
-        for trace in run_batch(model, run_configs(cfg)):
+        for trace in run_batch(model, run_config(cfg), [cfg.seed + r for r in range(cfg.repeats)]):
             rows = (tmp_path / f"metrics_{trace.seed}.csv").read_text().splitlines()[1:]
             mmd = float(dict(row.split(",") for row in rows)["mmd"])
             assert abs(mmd - mmd_rff(truth_samples, model.domain.value_table[trace.states], rff)) <= 1e-12
@@ -133,9 +133,6 @@ def hand_trace(replica, iterations=9000):
         accepted_low=flags[0],
         accepted_high=flags[1] if replica else None,
         swapped=flags[2] if replica else None,
-        iterations=iterations,
-        swap_attempts=iterations if replica else 0,
-        swap_successes=int(flags[2].sum()) if replica else 0,
         seed=1,
         thin=1,
     )
@@ -149,7 +146,7 @@ def test_run_csv_renders_floats_as_repr_and_flags_as_digits(tmp_path, replica):
     assert lines[0] == "iteration,energy_low,energy_high,accepted_low,accepted_high,swapped"
     assert lines[-1] == ""  # every row ends in a newline
     expected = []
-    for i in range(trace.iterations):
+    for i in range(trace.energy_low.shape[0]):
         if replica:
             high = (repr(float(trace.energy_high[i])), str(int(trace.accepted_high[i])), str(int(trace.swapped[i])))
         else:

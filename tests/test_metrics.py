@@ -301,7 +301,7 @@ class TestJumpAndSwapRates:
     def test_swap_rate_zero_without_replica(self, two_spin_ising):
         trace = run_sampler(two_spin_ising, RunConfig(sampler="dmala", iterations=100, seed=0, alpha=0.4))
         assert swap_rate(trace) == 0.0
-        assert trace.swap_attempts == 0
+        assert trace.swapped is None
 
     def test_swap_rate_one_for_identical_chains(self, two_spin_ising):
         with pytest.warns(UserWarning):
