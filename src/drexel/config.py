@@ -40,6 +40,9 @@ _LEAST = (
 # sampler -> the sampler keys it never reads, which a sampling kind may not set
 _UNREAD = dict.fromkeys((DULA, DMALA), ("alpha_high", "tau_high", "rho", "sigma2"))
 _UNREAD |= dict.fromkeys((DREXEL, DREAM), ("sigma2",))
+# non-sampling kind -> the sampling and repeat keys it never reads
+_RUN_KEYS = ("sampler", "sigma2", "iterations", "thin", "init", "init_prob", "repeats")
+_KIND_UNREAD = {"oracle-check": _RUN_KEYS, "rbm-train": _RUN_KEYS + ("alpha", "tau", "alpha_high", "tau_high", "rho")}
 
 # key -> (type, default); kind and seed have none, and _REQUIRED lists the keys each kind must set
 _SCHEMA = {
@@ -170,14 +173,16 @@ def _require_keys(values):
     _require(values, "seed", "every config")
     for key in _REQUIRED[kind]:
         _require(values, key, f"kind {kind!r}")
-    sampler = values["sampler"] if kind in SAMPLING_KINDS else None
+    sampling = kind in SAMPLING_KINDS
+    sampler = values["sampler"] if sampling else None
     for key in ("alpha_high", "tau_high") if sampler in REPLICA_SAMPLERS else ():
         _require(values, key, f"sampler {sampler!r}")
     if sampler in (BDREXEL, BDREAM) and "sigma2" not in values:
         raise ConfigError(f"sampler {sampler!r} requires the sigma2 key")
-    for key in _UNREAD.get(sampler, ()):
+    reader = f"sampler {sampler!r}" if sampling else f"kind {kind!r}"
+    for key in _UNREAD.get(sampler, ()) if sampling else _KIND_UNREAD[kind]:
         if key in values:
-            raise ConfigError(f"sampler {sampler!r} never reads the {key} key")
+            raise ConfigError(f"{reader} never reads the {key} key")
 
 
 def check_threads(threads: int) -> int:

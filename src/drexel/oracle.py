@@ -2,10 +2,10 @@
 
 Everything here is exact up to floating point: target pmfs, single-chain and
 joint replica transition kernels, reversibility residuals, and the spectral
-total-variation bound for reversible kernels.  Kernels are built from the
-same proposal and swap code the samplers use (for quadratic energies the
-Taylor-form proposal weights equal the exact-energy-difference form, so no
-parallel formula exists to drift out of sync).
+total-variation bound for reversible kernels.  Kernels, proposal
+normalizers and the balanced swap exponent are built from the same proposal
+logits and swap code the samplers use, so no parallel formula exists to drift
+out of sync.
 
 One caution that the test suite leans on: the replica kernel with the
 history swap is *not* exactly reversible with respect to the Z-weighted
@@ -22,9 +22,9 @@ import numpy as np
 from .domains import ENUMERATION_CAPACITY, SPIN_PM1, ReadOnlyArrays, all_states, embed_all
 from .energies import EnergyModel, QuadraticEnergy, _sigmoid
 from .errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
-from .sampler import ChainParams, SwapConfig, _Kernel, _swap_probs
+from .sampler import ChainParams, SwapConfig, _Kernel, _logits, _swap_probs
 
-KERNEL_CAPACITY = 4096  # most states, or pair states, an exact kernel or normalizer table spans
+KERNEL_CAPACITY = 4096  # most states, or pair states, an exact kernel spans
 SPECTRAL_CAPACITY = 256  # most states the spectral check decomposes
 SPECTRAL_SLACK = 1e-10  # rounding allowance added to the spectral TV bound
 
@@ -112,46 +112,30 @@ def _require_quadratic(model) -> QuadraticEnergy:
     return model
 
 
-def _quad_distances(xs: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """(x_j - x_i)^T M (x_j - x_i) over row pairs i, j of xs: diag(G)_i + diag(G)_j - 2 G, G = xs M xs^T."""
-    G = xs @ M @ xs.T
-    return np.diag(G)[:, None] + np.diag(G)[None, :] - 2 * G
+def _proposal_logits(model: EnergyModel, params: ChainParams):
+    """all_states, their energies and their (n, dim, levels) proposal logits by the sampler's _logits; stay logits are 0.
 
-
-def _normalizer_exponents(model: EnergyModel, params: ChainParams) -> np.ndarray:
-    """(n, n) exponents (U(x) - U(theta)) / (2 tau) - (x - theta)^T M (x - theta) / 2, row theta, column x."""
-    model = _require_quadratic(model)
-    _within(model.domain.num_states, KERNEL_CAPACITY, "kernel states")
-    xs = embed_all(model.domain)
-    u = model.value_batch(xs)
-    M = np.eye(model.domain.dim) / params.alpha + (model.w / params.tau) * model.J
-    return (u[None, :] - u[:, None]) / (2.0 * params.tau) - 0.5 * _quad_distances(xs, M)
-
-
-def proposal_normalizers(model: EnergyModel, params: ChainParams) -> np.ndarray:
-    """Per-state proposal normalizer Z_alpha on a log-quadratic energy.
-
-    Z(theta) = sum_x exp[(U(x) - U(theta)) / (2 tau)
-                         - (x - theta)^T (I/alpha + (w/tau) J) (x - theta) / 2],
-    which equals the product of the per-coordinate softmax denominators of
-    the sampler's proposal; tends to 1 as alpha -> 0.
+    CapacityError past 4 * ENUMERATION_CAPACITY logit entries, before any is allocated.
     """
-    expo = _normalizer_exponents(model, params)
-    m = expo.max(axis=1)
-    return np.exp(m) * np.exp(expo - m[:, None]).sum(axis=1)
+    domain = model.domain
+    _within(domain.num_states * domain.dim * domain.levels, 4 * ENUMERATION_CAPACITY, "proposal logit entries")
+    states = all_states(domain)
+    x = domain.value_table[states]
+    u, g = model.value_and_grad_batch(x)
+    return states, u, _logits(x, g, domain.value_table, params.alpha, params.tau)
 
 
 def log_proposal_normalizers(model: EnergyModel, params: ChainParams) -> np.ndarray:
-    """log Z_alpha for every state, via log1p of the off-state mass.
+    """log Z_alpha(x) = sum_d log1p(sum_{v != x_d} exp logit_d(v)) for every state x; 1/Z(x) is the stay probability.
 
-    Resolves tails as small as exp(-700) that a plain exp-sum would swallow
-    into the leading 1; used by the small-step-size convergence checks.
+    The log1p resolves tails as small as exp(-700) that a plain exp-sum would
+    swallow into the leading 1; used by the small-step-size convergence checks.
     """
-    expo = _normalizer_exponents(model, params)
-    np.fill_diagonal(expo, -np.inf)  # the stay term is the leading 1
+    states, _, logits = _proposal_logits(model, params)
+    n, dim = states.shape
+    logits[np.arange(n)[:, None], np.arange(dim), states] = -np.inf  # the stay term is the leading 1
     with np.errstate(under="ignore"):
-        off = np.exp(expo).sum(axis=1)
-    return np.log1p(off)
+        return np.log1p(np.exp(logits).sum(axis=2)).sum(axis=1)
 
 
 def pair_target_product_gap(model: EnergyModel, params_low: ChainParams, params_high: ChainParams) -> float:
@@ -160,8 +144,7 @@ def pair_target_product_gap(model: EnergyModel, params_low: ChainParams, params_
     Evaluated entirely through expm1/log1p so the gap stays strictly positive
     and strictly decreasing as the step sizes shrink, down to underflow depth.
     """
-    lz1 = log_proposal_normalizers(model, params_low)
-    lz2 = log_proposal_normalizers(model, params_high)
+    lz1, lz2 = (log_proposal_normalizers(model, p) for p in (params_low, params_high))
     p_prod = tempered_pair_pmf(model, params_low, params_high).p
     delta = (lz1[:, None] + lz2[None, :]).ravel()
     log_d = np.log1p(float(p_prod @ np.expm1(delta)))
@@ -177,8 +160,7 @@ def intermediate_pair_pmf(model: EnergyModel, params_low: ChainParams, params_hi
     model = _require_quadratic(model)
     _within(model.domain.num_states**2, ENUMERATION_CAPACITY, "pair states")
     u = model.value_batch(embed_all(model.domain))
-    lz1 = np.log(proposal_normalizers(model, params_low))
-    lz2 = np.log(proposal_normalizers(model, params_high))
+    lz1, lz2 = (log_proposal_normalizers(model, p) for p in (params_low, params_high))
     log_w = (lz1 + u / params_low.tau)[:, None] + (lz2 + u / params_high.tau)[None, :]
     log_w -= log_w.max()
     p = np.exp(log_w).ravel()
@@ -235,6 +217,12 @@ def exact_joint_kernel(
     return _joint_from_branches(q1, q2, _swap_prob_grid(swap, params_low.tau, params_high.tau, u))
 
 
+def _log_flows(model: EnergyModel, params: ChainParams) -> np.ndarray:
+    """(n, n) log pi~(a) q(a -> b) up to a constant, row a, column b: U(a) / tau + sum_d logit_d(a -> b_d)."""
+    states, u, logits = _proposal_logits(model, params)
+    return u[:, None] / params.tau + logits[:, np.arange(states.shape[1]), states].sum(axis=2)
+
+
 def balanced_joint_kernel(
     model: EnergyModel,
     params_low: ChainParams,
@@ -243,10 +231,12 @@ def balanced_joint_kernel(
 ) -> Kernel:
     """Replica kernel with the swap exponent that exactly restores reversibility.
 
-    On log-quadratic energies the history swap leaves a residual imbalance of
-    order exp(energy gaps) whenever the chains differ in alpha or tau.  The
-    corrected exponent halves the energy bracket and adds the quadratic
-    cross-terms of the two proposals:
+    With l1, l2 the chains' _log_flows and f(a, b) = l2(b, a) - l1(a, b), the
+    swap from (x1, x2) with proposals (w1, w2) has the exponent
+    sigma(x, w) = f(x1, w1) - f(w2, x2), the log ratio of the reverse flow to
+    the forward one; the reverse move's exponent is exactly -sigma.  On
+    U = w x^T J x + b^T x it is the halved history energy bracket plus the
+    quadratic cross-terms of the two proposals:
 
         sigma(x, w) = (1/tau2 - 1/tau1) [U(w1) + U(x1) - U(w2) - U(x2)] / 2
                       + [(w1 - x1)^T N (w1 - x1) - (w2 - x2)^T N (w2 - x2)] / 2,
@@ -260,22 +250,10 @@ def balanced_joint_kernel(
     if params_low.mh_enabled or params_high.mh_enabled:
         raise DomainError("the balanced swap is derived for unadjusted chains; got params with mh_enabled")
     _within(model.domain.num_states**2, KERNEL_CAPACITY, "kernel pair states")
-    a1, t1 = params_low.alpha, params_low.tau
-    a2, t2 = params_high.alpha, params_high.tau
     q1 = exact_single_kernel(model, params_low).matrix
     q2 = exact_single_kernel(model, params_high).matrix
-    xs = embed_all(model.domain)
-    u = model.value_batch(xs)
-    beta = 1.0 / t2 - 1.0 / t1
-    N = (1.0 / a1 - 1.0 / a2) * np.eye(model.domain.dim) + (1.0 / t1 - 1.0 / t2) * model.w * model.J
-    quad = _quad_distances(xs, N)
-    e1 = 0.5 * beta * (u[:, None] + u[None, :])  # [x, w] -> beta (U(x) + U(w)) / 2
-    sigma = (
-        e1[:, None, :, None]
-        - e1[None, :, None, :]
-        + 0.5 * quad[:, None, :, None]
-        - 0.5 * quad[None, :, None, :]
-    )
+    f = _log_flows(model, params_high).T - _log_flows(model, params_low)
+    sigma = f[:, None, :, None] - f.T[None, :, None, :]
     return _joint_from_branches(q1, q2, rho * np.minimum(1.0, np.exp(sigma)))
 
 

@@ -21,7 +21,6 @@ from drexel import (
     ChainParams,
     RunConfig,
     SwapConfig,
-    make_ising_chain,
     make_ising_lattice,
     make_synthetic,
     run_batch,

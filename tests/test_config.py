@@ -94,6 +94,25 @@ def test_keys_the_sampler_never_reads_rejected(sampler, key):
         parse_config(text + f"{key} = 0.5\n")
 
 
+NON_SAMPLING = {
+    "rbm-train": "kind = rbm-train\nvisible = 4\nhidden = 2\nseed = 1\n",
+    "oracle-check": "kind = oracle-check\nalpha = 0.2\nalpha_high = 0.4\ntau_high = 2.0\nseed = 1\n",
+}
+RUN_KEYS = {"sampler": "dream", "sigma2": "0.5", "iterations": "10", "thin": "2", "init": "uniform", "init_prob": "0.5", "repeats": "5"}
+CHAIN_KEYS = {"alpha": "0.2", "tau": "1.0", "alpha_high": "0.4", "tau_high": "2.0", "rho": "1.0"}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind in NON_SAMPLING for key in RUN_KEYS] + [("rbm-train", key) for key in CHAIN_KEYS],
+)
+def test_keys_the_kind_never_reads_rejected(kind, key):
+    """rbm-train and oracle-check run no sampler and no repeats; rbm-train no chain either."""
+    parse_config(NON_SAMPLING[kind])
+    with pytest.raises(ConfigError, match=f"kind '{kind}' never reads the {key} key"):
+        parse_config(NON_SAMPLING[kind] + f"{key} = {(RUN_KEYS | CHAIN_KEYS)[key]}\n")
+
+
 def test_replica_sampler_requires_high_chain():
     text = MINIMAL_SYNTHETIC.replace("dmala", "dream")
     with pytest.raises(ConfigError, match="alpha_high"):

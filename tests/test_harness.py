@@ -1,7 +1,6 @@
 """End-to-end experiment runs, artifact schemas, determinism, and the CLI."""
 
 import dataclasses
-import os
 import subprocess
 import sys
 from collections import deque

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drexel import RunConfig, make_synthetic, run_sampler
-from drexel.domains import DomainSpec, embed_all
+from drexel.domains import DomainSpec
 from drexel.errors import DomainError
 from drexel.metrics import (
     BANDWIDTH_ROWS,

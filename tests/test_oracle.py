@@ -28,14 +28,14 @@ from drexel.oracle import (
     exact_single_kernel,
     heat_bath_sweep,
     intermediate_pair_pmf,
-    proposal_normalizers,
+    log_proposal_normalizers,
     spectral_tv_bound_check,
     tempered_pair_pmf,
 )
 from drexel.rng import SALT_LOW, SALT_REFERENCE, substream
 from drexel.sampler import _swap_probs
 
-from conftest import random_coupling
+from conftest import random_coupling, traced_peak
 from test_sampler import binomial_pvalues
 
 
@@ -124,7 +124,7 @@ class TestSingleKernel:
         """DULA balance holds exactly against the normalizer-weighted target."""
         params = ChainParams(alpha=0.3, tau=1.4)
         K = exact_single_kernel(three_spin_ising, params)
-        z = proposal_normalizers(three_spin_ising, params)
+        z = np.exp(log_proposal_normalizers(three_spin_ising, params))
         u = three_spin_ising.value_batch(embed_all(three_spin_ising.domain))
         p = z * np.exp(u / params.tau - u.max())
         pmf = Pmf(p=p / p.sum())
@@ -135,11 +135,11 @@ class TestProposalNormalizers:
     def test_two_term_sum_flat_energy(self):
         dom = DomainSpec.binary01(1)
         model = QuadraticEnergy(domain=dom, J=np.zeros((1, 1)), b=np.zeros(1), w=1.0)
-        z = proposal_normalizers(model, ChainParams(alpha=1.0))
+        z = np.exp(log_proposal_normalizers(model, ChainParams(alpha=1.0)))
         assert np.allclose(z, 1 + np.exp(-0.5), atol=1e-14)
 
     def test_tiny_step_size_limit(self, two_spin_ising):
-        z = proposal_normalizers(two_spin_ising, ChainParams(alpha=1e-3))
+        z = np.exp(log_proposal_normalizers(two_spin_ising, ChainParams(alpha=1e-3)))
         assert np.all(z >= 1.0)
         assert np.all(z <= 1.0 + 1e-100)
 
@@ -147,12 +147,12 @@ class TestProposalNormalizers:
         # fine ordinal grid: all three step sizes leave a resolvable tail
         dom = DomainSpec.ordinal_grid(1, levels=17, lo=-2.0, hi=2.0)
         model = QuadraticEnergy(domain=dom, J=np.zeros((1, 1)), b=np.ones(1), w=1.0)
-        values = [proposal_normalizers(model, ChainParams(alpha=a)) for a in (0.5, 0.05, 0.005)]
+        values = [np.exp(log_proposal_normalizers(model, ChainParams(alpha=a))) for a in (0.5, 0.05, 0.005)]
         assert np.all(values[0] > values[1])
         assert np.all(values[1] > values[2])
         assert np.all(values[2] > 1.0)
         # spin flips are 2 apart: the tail underflows to exactly 1 already at 0.05
-        spin_values = [proposal_normalizers(two_spin_ising, ChainParams(alpha=a)) for a in (0.5, 0.05, 0.005)]
+        spin_values = [np.exp(log_proposal_normalizers(two_spin_ising, ChainParams(alpha=a))) for a in (0.5, 0.05, 0.005)]
         assert np.all(spin_values[0] > spin_values[1])
         assert np.all(spin_values[1] >= spin_values[2])
         assert np.all(spin_values[2] == 1.0)
@@ -164,13 +164,42 @@ class TestProposalNormalizers:
         reciprocal of that product.
         """
         params = ChainParams(alpha=0.37, tau=2.1)
-        z = proposal_normalizers(three_spin_ising, params)
+        z = np.exp(log_proposal_normalizers(three_spin_ising, params))
         stay = np.diag(exact_single_kernel(three_spin_ising, params).matrix)
         assert np.abs(z - 1.0 / stay).max() <= 1e-12 * z.max()
 
-    def test_non_quadratic_model_rejected(self, small_rbm):
+    def test_any_energy_stay_probability(self, small_rbm):
+        """The normalizer reads only the sampler's logits, so it needs no log-quadratic energy."""
+        params = ChainParams(alpha=0.5, tau=1.3)
+        z = np.exp(log_proposal_normalizers(small_rbm, params))
+        stay = np.diag(exact_single_kernel(small_rbm, params).matrix)
+        assert np.abs(z - 1.0 / stay).max() <= 1e-12 * z.max()
+
+    def test_spin_flip_closed_form_on_the_4x4_torus(self):
+        """65,536 states: a spin flip's logit is -g_d x_d / tau - 2 / alpha, so log Z = sum_d log1p(exp of it)."""
+        model = make_ising_lattice(4, 0.15, HEAT_BATH_FIELD, periodic=True)
+        params = ChainParams(alpha=0.7, tau=1.3)
+        xs = embed_all(model.domain)
+        g = model.value_and_grad_batch(xs)[1]
+        expected = np.log1p(np.exp(-g * xs / params.tau - 2.0 / params.alpha)).sum(axis=1)
+        assert np.abs(log_proposal_normalizers(model, params) - expected).max() <= 1e-12
+
+    def test_capacity_guard_allocates_nothing(self):
+        """2^20 states of 2 x 1024 logits each: refused before the table, or the state list, is built."""
+        dom = DomainSpec.ordinal_grid(2, levels=1024, lo=0.0, hi=1.0)
+        model = QuadraticEnergy(domain=dom, J=np.zeros((2, 2)), b=np.zeros(2), w=1.0)
+
+        def refused():
+            with pytest.raises(CapacityError, match="proposal logit entries"):
+                log_proposal_normalizers(model, ChainParams(alpha=0.5))
+
+        assert traced_peak(refused) < 1 << 20
+
+    @pytest.mark.parametrize("oracle", [intermediate_pair_pmf, balanced_joint_kernel])
+    def test_non_quadratic_model_rejected(self, small_rbm, oracle):
+        """DULA leaves the Z-weighted target invariant only on log-quadratic energies."""
         with pytest.raises(UnsupportedModelError):
-            proposal_normalizers(small_rbm, ChainParams(alpha=0.5))
+            oracle(small_rbm, ChainParams(alpha=0.5), ChainParams(alpha=0.8, tau=2.0))
 
 
 class TestIntermediatePairPmf:
@@ -265,6 +294,16 @@ class TestJointKernel:
             K = balanced_joint_kernel(two_spin_ising, self.low, self.high, rho=rho)
             assert np.abs(K.matrix.sum(axis=1) - 1).max() <= 1e-12
             assert detailed_balance_check(K, pt) <= 1e-14
+
+    @pytest.mark.parametrize("dim, levels", [(2, 4), (3, 3)])
+    def test_balanced_kernel_on_ordinal_model_with_field(self, dim, levels):
+        """More than two levels and a non-zero field: rows sum to 1 and balance holds to 1e-12."""
+        dom = DomainSpec.ordinal_grid(dim, levels=levels, lo=-1.0, hi=1.0)
+        model = QuadraticEnergy(domain=dom, J=random_coupling(dim, 1.0, 3), b=np.linspace(-0.4, 0.5, dim), w=0.7)
+        low, high = ChainParams(alpha=0.2, tau=1.0), ChainParams(alpha=0.45, tau=2.3)
+        K = balanced_joint_kernel(model, low, high, rho=0.8)
+        assert np.abs(K.matrix.sum(axis=1) - 1).max() <= 1e-12
+        assert detailed_balance_check(K, intermediate_pair_pmf(model, low, high)) <= 1e-12
 
     def test_balanced_kernel_on_larger_instance(self, three_spin_ising):
         low = ChainParams(alpha=0.15, tau=1.0)
