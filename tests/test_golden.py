@@ -284,8 +284,8 @@ seed = 1
 """
 
 REPORT_GOLDEN = {
-    2: "52e917100024508518120a183527d0d11754a9b0438b4a52d4cc33293a2bdaa3",
-    4: "f8873f784c4400ed6d7edbacf5bedf3ceb0595fe9893064bc524a55659b73703",
+    2: "16bd8fd40e8a61a0f2f28ea1df644694530b2c935a3c708ec42b424b4dc2658c",
+    4: "6979353589ea297d6e0351d1aa1b5919c01ae17df6fb00eae966463eef3a0abe",
 }
 
 
@@ -337,7 +337,7 @@ def test_run_benchmarks_only_selects_bundled_configs(tmp_path):
     assert not (tmp_path / "none" / "runs").exists()  # refused before running the configs it does match
 
 
-MH_REPORT_GOLDEN = "6beb49daf3fa1102b6836d3503fe4779ed3ade34140d6815b7f6f2d007f0794d"
+MH_REPORT_GOLDEN = "59db6dfbf478b7d9b20f9206b2bdc38d768eb8f9438b04fe57654fd712d76623"
 
 
 def test_oracle_report_hash_with_metropolis(tmp_path):
