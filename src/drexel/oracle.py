@@ -253,7 +253,7 @@ def balanced_joint_kernel(
     q1 = exact_single_kernel(model, params_low).matrix
     q2 = exact_single_kernel(model, params_high).matrix
     f = _log_flows(model, params_high).T - _log_flows(model, params_low)
-    sigma = f[:, None, :, None] - f.T[None, :, None, :]
+    sigma = f[:, None, :, None] - f.T.copy()[None, :, None, :]  # C order, so the branches reshape sigma without a copy
     return _joint_from_branches(q1, q2, rho * np.minimum(1.0, np.exp(sigma)))
 
 
