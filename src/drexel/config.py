@@ -23,83 +23,69 @@ _REQUIRED = {
     "rbm-sample": ("sampler", "alpha", "iterations", "weights"),
     "oracle-check": ("alpha", "alpha_high", "tau_high"),
 }
-# integer keys that no settings object checks: (kind, or None for every kind; key; least value)
-_LEAST = (
-    (None, "repeats", 1),
-    ("synthetic", "grid_levels", 2),
-    ("synthetic", "reference_samples", 2),  # the MMD bandwidth is their median pairwise distance
-    ("synthetic", "mmd_features", 1),
-    ("ising", "side", 2),
-    ("ising", "reference_steps", 1),
-    ("rbm-train", "visible", 1),
-    ("rbm-sample", "gibbs_burn_in", 0),
-    ("rbm-sample", "mmd_features", 1),
-    ("oracle-check", "spins", 1),
-    ("oracle-check", "n_max", 1),
-)
+# integer keys that no settings object checks -> least value, checked under the kinds that read them
+_LEAST = {
+    "repeats": 1, "grid_levels": 2, "side": 2, "visible": 1, "spins": 1, "n_max": 1, "mmd_features": 1,
+    "reference_samples": 2,  # the MMD bandwidth is their median pairwise distance
+    "reference_steps": 1, "gibbs_burn_in": 0,
+}
 # sampler -> the sampler keys it never reads, which a sampling kind may not set
 _UNREAD = dict.fromkeys((DULA, DMALA), ("alpha_high", "tau_high", "rho", "sigma2"))
 _UNREAD |= dict.fromkeys((DREXEL, DREAM), ("sigma2",))
-# non-sampling kind -> the sampling and repeat keys it never reads
-_RUN_KEYS = ("sampler", "sigma2", "iterations", "thin", "init", "init_prob", "repeats")
-_KIND_UNREAD = {"oracle-check": _RUN_KEYS, "rbm-train": _RUN_KEYS + ("alpha", "tau", "alpha_high", "tau_high", "rho")}
 
-# key -> (type, default); kind and seed have none, and _REQUIRED lists the keys each kind must set
+_CHAIN_KINDS = SAMPLING_KINDS + ("oracle-check",)
+# key -> (type, default, the kinds that read it), and a file may set a key only if its kind reads it; kind and
+# seed have no default, _REQUIRED lists the keys each kind must set, and oracle-check reads no seed but
+# requires one, so that --seed always has a target
 _SCHEMA = {
-    "kind": (str, None),
-    "out": (str, "runs/out"),
-    "seed": (int, None),
-    "repeats": (int, 1),
-    "threads": (int, 1),
-    # sampler selection and chain parameters
-    "sampler": (str, ""),
-    "alpha": (float, 0.0),
-    "tau": (float, 1.0),
-    "alpha_high": (float, 0.0),
-    "tau_high": (float, 0.0),
-    "rho": (float, 1.0),
-    "sigma2": (float, 0.0),
-    "iterations": (int, 0),
-    "thin": (int, 1),
-    "init": (str, "uniform"),
-    "init_prob": (float, 0.5),
-    # synthetic tasks
-    "energy": (str, ""),
-    "grid_levels": (int, 64),
-    "c": (float, 2.0),
-    "heatmap": (bool, True),
-    "mmd_features": (int, 500),
-    "reference_samples": (int, 10000),
-    # ising tasks
-    "side": (int, 0),
-    "coupling": (float, 0.15),
-    "periodic": (bool, True),
-    "field": (float, 0.0),
-    "reference_steps": (int, 1_000_000),
-    # rbm tasks
-    "visible": (int, 0),
-    "hidden": (int, 0),
-    "cd_k": (int, 10),
-    "learning_rate": (float, 0.001),
-    "train_iterations": (int, 1000),
-    "batch_size": (int, 128),
-    "dataset": (str, "synthetic"),
-    "modes": (int, 4),
-    "per_mode": (int, 250),
-    "flip_prob": (float, 0.05),
-    "weights": (str, ""),
-    "weights_out": (str, "rbm_weights.bin"),
-    "gibbs_burn_in": (int, 1000),
-    # oracle-check
-    "spins": (int, 2),
-    "with_mh": (bool, False),
-    "n_max": (int, 50),
+    "kind": (str, None, KINDS),
+    "out": (str, "runs/out", KINDS),
+    "seed": (int, None, KINDS),
+    "repeats": (int, 1, SAMPLING_KINDS),
+    "threads": (int, 1, SAMPLING_KINDS),
+    "sampler": (str, "", SAMPLING_KINDS),
+    "alpha": (float, 0.0, _CHAIN_KINDS),
+    "tau": (float, 1.0, _CHAIN_KINDS),
+    "alpha_high": (float, 0.0, _CHAIN_KINDS),
+    "tau_high": (float, 0.0, _CHAIN_KINDS),
+    "rho": (float, 1.0, _CHAIN_KINDS),
+    "sigma2": (float, 0.0, SAMPLING_KINDS),
+    "iterations": (int, 0, SAMPLING_KINDS),
+    "thin": (int, 1, SAMPLING_KINDS),
+    "init": (str, "uniform", SAMPLING_KINDS),
+    "init_prob": (float, 0.5, SAMPLING_KINDS),
+    "energy": (str, "", ("synthetic",)),
+    "grid_levels": (int, 64, ("synthetic",)),
+    "c": (float, 2.0, ("synthetic",)),
+    "heatmap": (bool, True, ("synthetic",)),
+    "mmd_features": (int, 500, ("synthetic", "rbm-sample")),
+    "reference_samples": (int, 10000, ("synthetic",)),
+    "side": (int, 0, ("ising",)),
+    "coupling": (float, 0.15, ("ising", "oracle-check")),
+    "periodic": (bool, True, ("ising",)),
+    "field": (float, 0.0, ("ising", "oracle-check")),
+    "reference_steps": (int, 1_000_000, ("ising",)),
+    "visible": (int, 0, ("rbm-train",)),
+    "hidden": (int, 0, ("rbm-train",)),
+    "cd_k": (int, 10, ("rbm-train",)),
+    "learning_rate": (float, 0.001, ("rbm-train",)),
+    "train_iterations": (int, 1000, ("rbm-train",)),
+    "batch_size": (int, 128, ("rbm-train",)),
+    "dataset": (str, "synthetic", ("rbm-train",)),
+    "modes": (int, 4, ("rbm-train",)),
+    "per_mode": (int, 250, ("rbm-train",)),
+    "flip_prob": (float, 0.05, ("rbm-train",)),
+    "weights_out": (str, "rbm_weights.bin", ("rbm-train",)),
+    "weights": (str, "", ("rbm-sample",)),
+    "gibbs_burn_in": (int, 1000, ("rbm-sample",)),
+    "spins": (int, 2, ("oracle-check",)),
+    "with_mh": (bool, False, ("oracle-check",)),
+    "n_max": (int, 50, ("oracle-check",)),
 }
-
 
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
-    [(key, typ, field(default=default)) for key, (typ, default) in _SCHEMA.items()],
+    [(key, typ, field(default=default)) for key, (typ, default, _) in _SCHEMA.items()],
     frozen=True,
 )
 ExperimentConfig.__doc__ = "Validated experiment description; one field per config key."
@@ -144,8 +130,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        typ, _ = _SCHEMA[key]
-        values[key] = _parse_scalar(key, raw, typ, lineno)
+        values[key] = _parse_scalar(key, raw, _SCHEMA[key][0], lineno)
     _require_keys(values)
     config = ExperimentConfig(**values)
     _validate(config)
@@ -173,16 +158,17 @@ def _require_keys(values):
     _require(values, "seed", "every config")
     for key in _REQUIRED[kind]:
         _require(values, key, f"kind {kind!r}")
-    sampling = kind in SAMPLING_KINDS
-    sampler = values["sampler"] if sampling else None
+    for key in values:
+        if kind not in _SCHEMA[key][2]:
+            raise ConfigError(f"kind {kind!r} never reads the {key} key")
+    sampler = values.get("sampler")  # set only by a sampling kind, which must set it
     for key in ("alpha_high", "tau_high") if sampler in REPLICA_SAMPLERS else ():
         _require(values, key, f"sampler {sampler!r}")
     if sampler in (BDREXEL, BDREAM) and "sigma2" not in values:
         raise ConfigError(f"sampler {sampler!r} requires the sigma2 key")
-    reader = f"sampler {sampler!r}" if sampling else f"kind {kind!r}"
-    for key in _UNREAD.get(sampler, ()) if sampling else _KIND_UNREAD[kind]:
+    for key in _UNREAD.get(sampler, ()):
         if key in values:
-            raise ConfigError(f"{reader} never reads the {key} key")
+            raise ConfigError(f"sampler {sampler!r} never reads the {key} key")
 
 
 def check_threads(threads: int) -> int:
@@ -195,8 +181,8 @@ def check_threads(threads: int) -> int:
 def _validate(config):
     """The values that no settings object checks."""
     check_threads(config.threads)
-    for kind, key, least in _LEAST:
-        if kind in (None, config.kind) and getattr(config, key) < least:
+    for key, least in _LEAST.items():
+        if config.kind in _SCHEMA[key][2] and getattr(config, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")
     if config.kind == "synthetic" and config.energy not in SYNTHETIC_NAMES:
         raise ConfigError(f"unknown energy {config.energy!r}; expected one of {SYNTHETIC_NAMES}")

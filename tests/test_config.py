@@ -313,6 +313,6 @@ def test_every_bundled_config_parses():
     assert sorted(p.name for p in CONFIGS.glob("*.cfg")) == sorted(BUNDLED)
     for name, expected in BUNDLED.items():
         cfg = load_config(CONFIGS / name)
-        want = {key: default for key, (_, default) in _SCHEMA.items()} | expected
+        want = {key: default for key, (_, default, _) in _SCHEMA.items()} | expected
         got = {key: getattr(cfg, key) for key in _SCHEMA}
         assert {k: (type(v), v) for k, v in got.items()} == {k: (type(v), v) for k, v in want.items()}, name
