@@ -113,6 +113,40 @@ def test_keys_the_kind_never_reads_rejected(kind, key):
         parse_config(NON_SAMPLING[kind] + f"{key} = {(RUN_KEYS | CHAIN_KEYS)[key]}\n")
 
 
+CHAIN = {"alpha", "tau", "alpha_high", "tau_high", "rho"}
+SAMPLING = {"kind", "out", "seed", "repeats", "threads", "sampler", "sigma2", "iterations", "thin", "init", "init_prob"}
+# the keys each kind's run reads, written out from the harness rather than taken from the schema
+READS = {
+    "synthetic": SAMPLING | CHAIN | {"energy", "grid_levels", "c", "heatmap", "mmd_features", "reference_samples"},
+    "ising": SAMPLING | CHAIN | {"side", "coupling", "periodic", "field", "reference_steps"},
+    "rbm-sample": SAMPLING | CHAIN | {"weights", "gibbs_burn_in", "mmd_features"},
+    "rbm-train": {
+        "kind", "out", "seed", "visible", "hidden", "cd_k", "learning_rate", "train_iterations", "batch_size",
+        "dataset", "modes", "per_mode", "flip_prob", "weights_out",
+    },
+    "oracle-check": {"kind", "out", "seed", "spins", "coupling", "field", "with_mh", "n_max"} | CHAIN,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_each_kind_accepts_exactly_the_keys_it_reads(kind):
+    """Every schema key outside the kind's read keys fails at parse time; none of its read keys fails for its kind."""
+    base = BASES[kind]
+    assert READS[kind] <= set(_SCHEMA)
+    for key, (_, default, _) in _SCHEMA.items():
+        if f"\n{key} = " in f"\n{base}":
+            continue
+        text = base + f"{key} = {default}\n"
+        if key not in READS[kind]:
+            with pytest.raises(ConfigError, match=f"^kind '{kind}' never reads the {key} key$"):
+                parse_config(text)
+            continue
+        try:
+            parse_config(text)
+        except ConfigError as exc:  # a sampler or value rule may still reject it, the kind may not
+            assert "never reads" not in str(exc) or str(exc).startswith("sampler"), (kind, key, exc)
+
+
 def test_replica_sampler_requires_high_chain():
     text = MINIMAL_SYNTHETIC.replace("dmala", "dream")
     with pytest.raises(ConfigError, match="alpha_high"):
