@@ -13,7 +13,7 @@ import numpy as np
 from .domains import DomainSpec, ReadOnlyArrays, embed_all
 from .energies import RbmFreeEnergy, _sigmoid
 from .errors import DomainError
-from .rng import SALT_DATA, substream
+from .rng import SALT_DATA, SALT_WEIGHTS, substream
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -127,7 +127,7 @@ def train_rbm(dataset: BinaryDataset, config: RbmTrainConfig):
     """
     if config.batch_size > dataset.size:
         raise DomainError(f"batch_size {config.batch_size} exceeds dataset size {dataset.size}")
-    rng = substream(config.seed, SALT_DATA)
+    rng = substream(config.seed, SALT_WEIGHTS)
     d = dataset.dim
     m = config.hidden
     W = rng.normal(0.0, 0.01, size=(m, d))

@@ -16,6 +16,7 @@ SALT_SWAP = 0xABCC5167CCAD925F
 SALT_TRUTH = 0x5851F42D4C957F2D
 SALT_REFERENCE = 0x9E6D62D06F6A9A9B
 SALT_DATA = 0xC2B2AE3D27D4EB4F
+SALT_WEIGHTS = 0x165667B19E3779F9
 
 
 def mix64(z: int) -> int:
