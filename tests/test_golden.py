@@ -258,7 +258,7 @@ flip_prob = 0.05
 seed = 53
 """
 
-RBM_TRAIN_GOLDEN = "85ee1c0c0db752d19df9aaec46eeb1f325ae647a32907b076134b88ad7957fab"
+RBM_TRAIN_GOLDEN = "df071db019a9010a5bd88be2443641909a62a0a9bb3db7f85e9dac7b4e801e97"
 
 
 def test_rbm_train_hash(tmp_path, monkeypatch):

@@ -164,8 +164,8 @@ class TestTrainingBytes:
     DATA = dict(dim=12, modes=3, per_mode=40, flip_prob=0.1, seed=21)
 
     TRAIN_GOLDEN = {
-        1: "a03b2ceaf82eb7771e0b4008708952149dff56eceb2d856fc3e0a75f4ff1d4c3",
-        3: "476c0a39d9e2281feb44c5502053dc56e86c04fc68cca620378d519f8f6132bb",
+        1: "4758a260b13ab3c69cf17dc2c49608d094402c2ea54f908987871330b0e7f8c4",
+        3: "f13e58f8c54b39d6238de8d1d5cce4f8a0e7c53b6b7555181f90de2803138516",
     }
 
     GRADIENT_GOLDEN = {
