@@ -262,6 +262,8 @@ def _run_rbm_train(config: ExperimentConfig, out):
         data = synth_bernoulli_mixture(config.visible, config.modes, config.per_mode, config.flip_prob, config.seed)
     else:
         data = load_dataset(config.dataset)
+        if data.dim != config.visible:
+            raise ConfigError(f"visible = {config.visible}, but dataset {config.dataset} has {data.dim} columns")
     model, losses = train_rbm(data, rbm_train_config(config))
     weights_path = os.path.join(out, config.weights_out)
     save_rbm(model, weights_path)

@@ -16,6 +16,7 @@ from drexel.errors import ConfigError, DomainError
 from drexel.harness import _build_model, _ising_metrics, _write_pgm, run_experiment, write_run_csv
 from drexel.metrics import RffEstimator, median_bandwidth, mmd_rff
 from drexel.oracle import enumerate_target
+from drexel.rbm import BinaryDataset, save_dataset
 from drexel.rng import SALT_TRUTH, substream
 from drexel.sampler import RunTrace, run_batch
 
@@ -462,6 +463,20 @@ class TestCli:
         proc = self._run("run", str(cfg_path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "weights file not found" in proc.stderr
+
+    def test_visible_differing_from_the_dataset_file_exit_2(self, tmp_path):
+        """A dataset file does not override visible; a width that differs is a config error."""
+        data = tmp_path / "data.bin"
+        save_dataset(BinaryDataset(rows=np.eye(6, dtype=np.int64)), data)
+        cfg_path = tmp_path / "train.cfg"
+        text = f"kind = rbm-train\nhidden = 2\ntrain_iterations = 2\nbatch_size = 4\ndataset = {data}\nseed = 1\n"
+        cfg_path.write_text(text + "visible = 7\n")
+        proc = self._run("rbm-train", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: visible = 7, but dataset {data} has 6 columns\n"
+        assert not (tmp_path / "out" / "rbm_weights.bin").exists()
+        cfg_path.write_text(text + "visible = 6\n")
+        assert self._run("rbm-train", str(cfg_path), "--out", str(tmp_path / "out")).returncode == 0
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
