@@ -34,9 +34,10 @@ _UNREAD = dict.fromkeys((DULA, DMALA), ("alpha_high", "tau_high", "rho", "sigma2
 _UNREAD |= dict.fromkeys((DREXEL, DREAM), ("sigma2",))
 
 _CHAIN_KINDS = SAMPLING_KINDS + ("oracle-check",)
-# key -> (type, default, the kinds that read it), and a file may set a key only if its kind reads it; kind and
-# seed have no default, _REQUIRED lists the keys each kind must set, and oracle-check reads no seed but
-# requires one, so that --seed always has a target
+# key -> (type, default, the kinds that read it); a file may set only the keys its kind reads.  A key that a
+# kind reads under some values of other keys only (c, init_prob, reference_steps, modes, per_mode, flip_prob)
+# is accepted under every value.  kind and seed have no default, and _REQUIRED lists the keys each kind must
+# set; oracle-check requires a seed it never reads, so that --seed always has a target
 _SCHEMA = {
     "kind": (str, None, KINDS),
     "out": (str, "runs/out", KINDS),
