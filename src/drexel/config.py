@@ -84,6 +84,7 @@ _SCHEMA = {
     "n_max": (int, 50, ("oracle-check",)),
 }
 
+
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
     [(key, typ, field(default=default)) for key, (typ, default, _) in _SCHEMA.items()],
