@@ -32,6 +32,7 @@ and only there, the log-proposals of the drawn and the current values are
 read with np.where on the two columns.
 """
 
+import itertools
 import os
 import sys
 import warnings
@@ -40,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .domains import DomainSpec
+from .domains import ENUMERATION_CAPACITY, DomainSpec, all_states, flat_index
 from .energies import EnergyModel
 from .errors import DomainError, NumericError
 from .rng import SALT_HIGH, SALT_LOW, SALT_SWAP, substream
@@ -59,6 +60,8 @@ REPLICA_SAMPLERS = (DREXEL, DREAM, BDREXEL, BDREAM)
 
 BIAS_CORRECTED = "bias_corrected"
 HISTORY = "history"
+
+_DRAW_BLOCK = 1 << 16  # most uniforms run_batch draws in one block: 512 KiB of doubles
 
 
 @dataclass(frozen=True)
@@ -189,24 +192,52 @@ class _Kernel:
                 stacklevel=_outside_stacklevel(),
             )
         self.labels = ("low", "high") * (k // 2) if swap is not None else ("low",) * k
+        self.tables = None  # once tabulated, every state's _Chains, with logp per (alpha, tau) setting
+
+    def _log_proposals(self, x: np.ndarray, grad: np.ndarray, alpha: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        if self.two_level:
+            return _two_level_log_softmax(x, grad, self.values, alpha[:, None], tau[:, None])
+        return _log_softmax(_logits(x, grad, self.values, alpha[:, None, None], tau[:, None, None]))
+
+    def tabulate(self):
+        """Table U, grad U and each distinct (alpha, tau)'s proposal table at every state, when they fit.
+
+        They fit when num_states x dim x levels x settings <= ENUMERATION_CAPACITY.
+        evaluate and table then gather rows with the computed bits: one
+        value_and_grad_batch call over C-ordered states (F-ordered ones take
+        other loops in np.vecdot), and the same elementwise table arithmetic.
+        A gathered row is checked as a computed one, at a chain's first visit.
+        """
+        domain, settings = self.model.domain, np.stack([self.alpha, self.tau], axis=1)
+        _, first, self.setting = np.unique(settings, axis=0, return_index=True, return_inverse=True)
+        if domain.num_states * domain.dim * domain.levels * len(first) > ENUMERATION_CAPACITY:
+            return
+        states = np.ascontiguousarray(all_states(domain))
+        x, logp = self.values[states], np.empty((len(first), *states.shape, domain.levels))
+        rows = max(1, (1 << 14) // (domain.dim * domain.levels))  # states per slice: small temporaries
+        with np.errstate(all="ignore"):
+            u, g = (np.asarray(a, dtype=float) for a in self.model.value_and_grad_batch(x))
+            for s, lo in itertools.product(range(len(first)), range(0, len(x), rows)):
+                part = np.s_[lo : lo + rows]
+                logp[s, part] = self._log_proposals(x[part], g[part], *settings[first[s], None].T)
+        self.tables = _Chains(states, u, g, logp)
 
     def table(self, states: np.ndarray, energy: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Log-softmax proposal tables of every chain at states with energies and gradients.
 
         Each chain's table depends only on its own state, gradient, alpha and
-        tau.  Raises NumericError naming the first chain whose energy or
-        table is not finite, so a bad model can never drive the proposal or
-        the Metropolis test with NaNs.  Every table row holds the
-        zero-distance stay entry, so a non-finite gradient, or a finite one
-        whose g / (2 tau) * diff overflows, turns the table NaN.  A step size
-        so small that the move penalty is infinite only zeroes the move
-        probabilities.
+        tau, and is gathered once tabulated.  Raises NumericError naming the
+        first chain whose energy or table is not finite, so a bad model can
+        never drive the proposal or the Metropolis test with NaNs.  Every
+        table row holds the zero-distance stay entry, so a non-finite
+        gradient, or a finite one whose g / (2 tau) * diff overflows, turns
+        the table NaN.  A step size so small that the move penalty is
+        infinite only zeroes the move probabilities.
         """
-        x = self.values[states]
-        if self.two_level:
-            logp = _two_level_log_softmax(x, grad, self.values, self.alpha[:, None], self.tau[:, None])
+        if self.tables is None:
+            logp = self._log_proposals(self.values[states], grad, self.alpha, self.tau)
         else:
-            logp = _log_softmax(_logits(x, grad, self.values, self.alpha[:, None, None], self.tau[:, None, None]))
+            logp = self.tables.logp[self.setting, flat_index(states, self.model.domain)]
         if np.isnan(logp).any() or not np.isfinite(energy).all():
             k = int(np.argmax(np.isnan(logp).any(axis=(1, 2)) | ~np.isfinite(energy)))
             if not np.isfinite(energy[k]):
@@ -221,10 +252,12 @@ class _Kernel:
         return logp
 
     def evaluate(self, states: np.ndarray) -> _Chains:
-        """The one energy evaluation per chain: U, grad U and the proposal table at each state."""
-        u, g = self.model.value_and_grad_batch(self.values[states])
-        u = np.asarray(u, dtype=float)
-        g = np.asarray(g, dtype=float)
+        """The one energy evaluation per chain, or its gathered rows: U, grad U and the proposal table at each state."""
+        if self.tables is None:
+            u, g = (np.asarray(a, dtype=float) for a in self.model.value_and_grad_batch(self.values[states]))
+        else:
+            i = flat_index(states, self.model.domain)
+            u, g = self.tables.energy[i], self.tables.grad[i]
         return _Chains(states, u, g, self.table(states, u, g))
 
     def sample(self, logp: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -243,11 +276,15 @@ class _Kernel:
             return np.where(states, logp[..., 1], logp[..., 0]).sum(axis=1)
         return logp[(*self.cells, states)].sum(axis=1)
 
-    def draw(self, rngs) -> np.ndarray:
-        """Each chain's uniforms for one iteration, from its own generator, as the rows of one buffer."""
-        for rng, row in zip(rngs, self.draws):
+    def draw(self, rngs, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Each chain's uniforms for one iteration, or for B into a (K, B, dim + mh) out, one call per generator.
+
+        For PCG64 doubles a block of B is the stream of B one-iteration draws.
+        """
+        out = self.draws if out is None else out
+        for rng, row in zip(rngs, out):
             rng.random(out=row)
-        return self.draws
+        return out
 
     def step(self, chains: _Chains, draws: np.ndarray):
         """One proposal and Metropolis decision per chain.
@@ -274,8 +311,8 @@ class _Kernel:
         The probability sees the energies of the states actually retained
         after the Metropolis decisions (U_next) together with those the
         iteration started from (U_prev).  A swap exchanges states, energies
-        and gradients, and rebuilds every table under its chain's (alpha,
-        tau): an unswapped chain's table comes out bit for bit as it was.
+        and gradients, and rebuilds or gathers every table under its chain's
+        (alpha, tau): an unswapped chain's table comes out bit for bit as it was.
         Returns the chains and the (pairs,) swap flags.
         """
         e = chains.energy
@@ -384,9 +421,11 @@ def run_batch(model: EnergyModel, config: RunConfig, seeds) -> list:
     rho=0, one-chain degenerate case: they use the same low-chain substream,
     so a DREXEL run with rho=0 is trajectory-identical on its low chain to
     the standalone run.  Every iteration evaluates the energy once per
-    chain, at its proposal.  A non-finite energy or gradient raises
-    NumericError naming the seed, the iteration and the chain.  Domains of
-    more than 32768 levels raise DomainError, as the trace is int16.
+    chain, at its proposal, or gathers it from _Kernel.tabulate's tables.
+    Uniforms come in blocks of up to _DRAW_BLOCK, the same stream.  A
+    non-finite energy or gradient raises NumericError naming the seed, the
+    iteration and the chain.  Domains of more than 32768 levels raise
+    DomainError, as the trace is int16.
     """
     seeds = list(seeds)
     if not seeds:
@@ -408,12 +447,18 @@ def run_batch(model: EnergyModel, config: RunConfig, seeds) -> list:
     i = None
     try:
         chains = kernel.evaluate(np.stack([_draw_init(domain, config, rng) for rng in rngs]))
+        kernel.tabulate()
+        rows = min(iters, max(1, _DRAW_BLOCK // (kernel.draws.size + len(swap_rngs))))
+        block = np.empty((len(rngs), rows, kernel.draws.shape[1]))
         for i in range(iters):
+            if i % rows == 0:
+                b = min(rows, iters - i)
+                kernel.draw(rngs, block[:, :b])
+                u_swap = np.array([rng.random(b) for rng in swap_rngs])
             prev_energy = chains.energy
-            chains, accepted[:, i] = kernel.step(chains, kernel.draw(rngs))
+            chains, accepted[:, i] = kernel.step(chains, block[:, i % rows])
             if replica:
-                u_swap = np.array([rng.random() for rng in swap_rngs])
-                chains, swapped[:, i] = kernel.exchange(prev_energy, chains, u_swap)
+                chains, swapped[:, i] = kernel.exchange(prev_energy, chains, u_swap[:, i % rows])
             energies[:, i] = chains.energy
             if i % thin == 0:
                 states[:, i // thin] = chains.states[::n]

@@ -20,8 +20,9 @@ from drexel import (
     run_batch,
     run_sampler,
 )
+from drexel import sampler as sampler_module
 from drexel.domains import DomainSpec, flat_index
-from drexel.energies import EnergyModel, QuadraticEnergy
+from drexel.energies import SYNTHETIC_NAMES, EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
 from drexel.sampler import _accepts, _Kernel, _log_softmax, _logits, _swap_probs
@@ -580,8 +581,9 @@ class TestOneEvaluationPerChain:
         "sampler,chains",
         [("dula", 1), ("dmala", 1), ("drexel", 2), ("dream", 2), ("bdrexel", 2), ("bdream", 2)],
     )
-    def test_energy_evaluations_per_iteration(self, sampler, chains):
-        """Each chain evaluates the energy once per iteration, fused and batched, at its proposal."""
+    def test_energy_evaluations_per_iteration(self, sampler, chains, monkeypatch):
+        """Off the table path, each chain evaluates the energy once per iteration, fused and batched, at its proposal."""
+        monkeypatch.setattr(sampler_module, "ENUMERATION_CAPACITY", 0)
         per_run = {}
         for iters in (100, 200):
             model = CountingModel(make_synthetic("16gaussian", levels=16))
@@ -591,9 +593,20 @@ class TestOneEvaluationPerChain:
         assert per_run[100] == Counter({rows: chains * 101})  # one per chain at the start
         assert per_run[200][rows] - per_run[100][rows] == chains * 100
 
+    @pytest.mark.parametrize(
+        "sampler,chains",
+        [("dula", 1), ("dmala", 1), ("drexel", 2), ("dream", 2), ("bdrexel", 2), ("bdream", 2)],
+    )
+    def test_a_tabulated_domain_evaluates_each_state_once(self, sampler, chains):
+        """Under the table limit, the initial states and then every state are evaluated once, whatever the length."""
+        for iters in (100, 200):
+            model = CountingModel(make_synthetic("16gaussian", levels=16))
+            run_sampler(model, RunConfig(iterations=iters, **_run_kwargs(sampler)))
+            assert model.calls == Counter({"value_and_grad_batch rows": chains + 256})
 
-def _nan_gradient_model(bad):
-    """16-Gaussian energy on a 16-level grid whose gradient is NaN wherever bad(x) holds."""
+
+def _nan_gradient_model(bad, fill=np.nan):
+    """16-Gaussian energy on a 16-level grid whose gradient is fill (NaN by default) wherever bad(x) holds."""
     inner = make_synthetic("16gaussian", levels=16)
 
     class NanGradient(EnergyModel):
@@ -601,7 +614,7 @@ def _nan_gradient_model(bad):
 
         def value_and_grad_batch(self, xs):
             u, g = inner.value_and_grad_batch(xs)
-            return u, np.where(np.array([bool(bad(x)) for x in xs])[:, None], np.nan, g)
+            return u, np.where(np.array([bool(bad(x)) for x in xs])[:, None], fill, g)
 
     return NanGradient()
 
@@ -789,3 +802,52 @@ class TestRunBatch:
         with pytest.raises(NumericError) as err:
             run_batch(model, cfg, seeds)
         assert str(err.value) == first[1]
+
+
+def _uniforms_per_iteration(model, cfg):
+    """The uniforms run_batch draws per iteration of one seed: each chain's dim (+1 under MH), then the swap's."""
+    chains = 2 if cfg.is_replica else 1
+    return chains * (model.domain.dim + cfg.mh_enabled) + cfg.is_replica
+
+
+class TestTablePath:
+    """Stepping on a table of every state gives the computed path's traces bit for bit."""
+
+    @pytest.mark.parametrize("sampler", ["dula", "dmala", "drexel", "dream", "bdrexel", "bdream"])
+    @pytest.mark.parametrize("model_name", SYNTHETIC_NAMES + ("ising2", "rbm12"))
+    def test_traces_equal_the_computed_path(self, model_name, sampler, monkeypatch):
+        """rbm12 needs the table's energies from C-ordered states: F-ordered ones take other loops in np.vecdot."""
+        model, cfg = golden_config("grid16" if model_name in SYNTHETIC_NAMES else model_name, sampler)
+        if model_name in SYNTHETIC_NAMES:
+            model = make_synthetic(model_name, levels=16)
+        counted = CountingModel(model)
+        tabled = [trace_digest(t) for t in run_batch(counted, cfg, [31, 32])]
+        assert counted.calls["value_and_grad_batch rows"] == (4 if cfg.is_replica else 2) + model.domain.num_states
+        monkeypatch.setattr(sampler_module, "ENUMERATION_CAPACITY", 0)
+        assert tabled == [trace_digest(t) for t in run_batch(model, cfg, [31, 32])]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_boundaries_keep_the_golden_traces(self, rows, monkeypatch):
+        """Uniforms drawn in blocks of 1 or 7 iterations (7 does not divide 300) give every golden trace."""
+        for (model_name, sampler), digest in sorted(GOLDEN.items()):
+            model, cfg = golden_config(model_name, sampler)
+            monkeypatch.setattr(sampler_module, "_DRAW_BLOCK", rows * _uniforms_per_iteration(model, cfg))
+            assert trace_digest(run_sampler(model, cfg)) == digest, (model_name, sampler)
+
+    @pytest.mark.parametrize("fill", [np.nan, 1e308], ids=["nan", "overflowing"])
+    @pytest.mark.parametrize("sampler", ["dula", "dmala", "dream"])
+    def test_a_faulty_region_no_chain_visits_is_never_raised(self, sampler, fill, monkeypatch):
+        """Gradients that are NaN, or that overflow the logits, at x[0] > 1 fail no run whose chains stay below.
+
+        Building the table over that region warns of nothing, and the trace is the computed path's.
+        """
+        model = _nan_gradient_model(lambda x: x[0] > 1.0, fill)
+        cfg = replace(RunConfig(iterations=300, **_run_kwargs(sampler)), seed=2, alpha=0.05)
+        if cfg.is_replica:
+            cfg = replace(cfg, alpha_high=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_sampler(model, cfg)
+            monkeypatch.setattr(sampler_module, "ENUMERATION_CAPACITY", 0)
+            assert trace_digest(run_sampler(model, cfg)) == trace_digest(trace)
+        assert len(np.unique(trace.states, axis=0)) > 1
