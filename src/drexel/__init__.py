@@ -15,7 +15,6 @@ from .sampler import (
     RunTrace,
     SwapConfig,
     run_batch,
-    run_sampler,
 )
 
 __version__ = "0.1.0"
@@ -33,5 +32,4 @@ __all__ = [
     "make_ising_lattice",
     "make_synthetic",
     "run_batch",
-    "run_sampler",
 ]

@@ -198,9 +198,9 @@ def _validate(config):
 
 
 def run_config(config: ExperimentConfig) -> RunConfig:
-    """The RunConfig of every repeat, at config.seed; alpha_high = tau_high = 0.0 leaves them unset."""
+    """The RunConfig of every repeat; alpha_high = tau_high = 0.0 leaves them unset."""
     return RunConfig(
-        sampler=config.sampler, iterations=config.iterations, seed=config.seed, alpha=config.alpha, tau=config.tau,
+        sampler=config.sampler, iterations=config.iterations, alpha=config.alpha, tau=config.tau,
         alpha_high=config.alpha_high or None, tau_high=config.tau_high or None, rho=config.rho,
         sigma2=config.sigma2, thin=config.thin, init=config.init, init_prob=config.init_prob,
     )

@@ -331,7 +331,6 @@ class RunConfig:
 
     sampler: str
     iterations: int
-    seed: int
     alpha: float
     tau: float = 1.0
     alpha_high: Optional[float] = None
@@ -405,13 +404,8 @@ def _draw_init(domain: DomainSpec, config: RunConfig, rng: np.random.Generator) 
     return (rng.random(domain.dim) < config.init_prob).astype(np.int64)
 
 
-def run_sampler(model: EnergyModel, config: RunConfig) -> RunTrace:
-    """Run a configured sampler; fully determined by (seed, config).  The one-seed run_batch."""
-    return run_batch(model, config, [config.seed])[0]
-
-
 def run_batch(model: EnergyModel, config: RunConfig, seeds) -> list:
-    """Run config at each of seeds, which replace config.seed, as one batch; one RunTrace per seed, in order.
+    """Run config at each of seeds as one batch; one RunTrace per seed, in order, fully determined by (seed, config).
 
     All K = len(seeds) x chains-per-run chains step together through one
     kernel over a (K, dim) state array.  Each chain keeps its own low or

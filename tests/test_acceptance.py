@@ -24,7 +24,6 @@ from drexel import (
     make_ising_lattice,
     make_synthetic,
     run_batch,
-    run_sampler,
 )
 from drexel.config import parse_config
 from drexel.domains import DomainSpec, embed_all
@@ -243,7 +242,7 @@ def test_criterion_7_multimodal_exploration():
         ("dmala", dict(alpha=0.023)),
         ("dream", dict(alpha=0.023, alpha_high=0.053, tau_high=2.0)),
     ):
-        cfg = RunConfig(sampler=sampler, iterations=100_000, seed=7, tau=1.0, **kw)
+        cfg = RunConfig(sampler=sampler, iterations=100_000, tau=1.0, **kw)
         for trace in run_batch(model, cfg, range(7, 17)):  # the 10 seeds' standalone runs, stepped together
             kls[sampler].append(kl_divergence(pi, visit_counts(trace.states, model.domain)))
             jumps[sampler].append(jump_rate(trace.states, model.domain))
@@ -274,7 +273,7 @@ def test_criterion_8_ising_ordering():
         ("dmala", dict(alpha=0.4)),
         ("dream", dict(alpha=0.4, alpha_high=0.9, tau_high=5.0)),
     ):
-        cfg = RunConfig(sampler=sampler, iterations=iters, seed=7, tau=1.0, init="bernoulli", init_prob=0.6, **kw)
+        cfg = RunConfig(sampler=sampler, iterations=iters, tau=1.0, init="bernoulli", init_prob=0.6, **kw)
         for trace in run_batch(model, cfg, range(7, 17)):
             emb = model.domain.value_table[trace.states.astype(np.int64)]
             cum = np.cumsum(emb, axis=0) / np.arange(1, iters + 1)[:, None]
@@ -323,11 +322,8 @@ def test_criterion_9_rbm_sanity():
             ("dmala", dict(alpha=0.2)),
             ("dream", dict(alpha=0.2, alpha_high=0.4, tau_high=2.0)),
         ):
-            cfg = RunConfig(
-                sampler=sampler, iterations=10_000, seed=100 + seed, tau=1.0,
-                init="bernoulli", init_prob=0.5, **kw,
-            )
-            trace = run_sampler(rbm, cfg)
+            cfg = RunConfig(sampler=sampler, iterations=10_000, tau=1.0, init="bernoulli", init_prob=0.5, **kw)
+            trace = run_batch(rbm, cfg, [100 + seed])[0]
             emb = rbm.domain.value_table[trace.states.astype(np.int64)]
             mmds[sampler].append(mmd_rff(gibbs, emb, rff))
     mean_dmala = float(np.mean(mmds["dmala"]))

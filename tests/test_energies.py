@@ -13,7 +13,7 @@ from drexel import (
     make_ising_chain,
     make_ising_lattice,
     make_synthetic,
-    run_sampler,
+    run_batch,
 )
 from drexel.domains import DomainSpec
 from drexel.energies import (
@@ -337,8 +337,8 @@ def test_a_model_needs_only_value_and_grad_batch():
     same = QuadraticEnergy(domain=model.domain, J=np.zeros((3, 3)), b=model.h)
     for sampler in ("dmala", "dream"):
         kwargs = dict(alpha_high=0.6, tau_high=2.0) if sampler == "dream" else {}
-        cfg = RunConfig(sampler=sampler, iterations=200, seed=5, alpha=0.3, **kwargs)
-        assert trace_digest(run_sampler(model, cfg)) == trace_digest(run_sampler(same, cfg))
+        cfg = RunConfig(sampler=sampler, iterations=200, alpha=0.3, **kwargs)
+        assert trace_digest(run_batch(model, cfg, [5])[0]) == trace_digest(run_batch(same, cfg, [5])[0])
     assert np.array_equal(enumerate_target(model).p, enumerate_target(same).p)
     params = ChainParams(alpha=0.3, mh_enabled=True)
     K = exact_single_kernel(model, params).matrix

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import drexel
-from drexel import RunConfig, make_ising_chain, make_synthetic, run_sampler
+from drexel import RunConfig, make_ising_chain, make_synthetic, run_batch
 from drexel.config import load_config, parse_config
 from drexel.domains import DomainSpec, embed_all
 from drexel.energies import RbmFreeEnergy
@@ -90,7 +90,10 @@ def trace_digest(trace) -> str:
     return h.hexdigest()
 
 
-def golden_config(model_name, sampler, seed=31, thin=1):
+GOLDEN_SEED = 31  # the seed of every GOLDEN trace
+
+
+def golden_config(model_name, sampler, thin=1):
     """(model, RunConfig) of one golden case."""
     build, kwargs = MODELS[model_name]
     model = build()
@@ -101,16 +104,13 @@ def golden_config(model_name, sampler, seed=31, thin=1):
     if sampler in ("bdrexel", "bdream"):
         kwargs["sigma2"] = 0.5
     init = "bernoulli" if model.domain.levels == 2 else "uniform"
-    return model, RunConfig(sampler=sampler, iterations=300, seed=seed, tau=1.0, init=init, thin=thin, **kwargs)
-
-
-def golden_run(model_name, sampler, seed=31):
-    return run_sampler(*golden_config(model_name, sampler, seed))
+    return model, RunConfig(sampler=sampler, iterations=300, tau=1.0, init=init, thin=thin, **kwargs)
 
 
 @pytest.mark.parametrize("model_name,sampler", sorted(GOLDEN))
 def test_trace_hash(model_name, sampler):
-    assert trace_digest(golden_run(model_name, sampler)) == GOLDEN[(model_name, sampler)]
+    model, cfg = golden_config(model_name, sampler)
+    assert trace_digest(run_batch(model, cfg, [GOLDEN_SEED])[0]) == GOLDEN[(model_name, sampler)]
 
 
 def test_run_csv_hash(tmp_path):
@@ -151,7 +151,7 @@ LANDSCAPE_GOLDEN = {
 def test_landscape_hash(which):
     """Each 2-d landscape: a DMALA trace plus its energies over the whole grid."""
     model = make_synthetic(which, levels=33)
-    trace = run_sampler(model, RunConfig(sampler="dmala", iterations=200, seed=37, alpha=0.3))
+    trace = run_batch(model, RunConfig(sampler="dmala", iterations=200, alpha=0.3), [37])[0]
     h = hashlib.sha256(trace_digest(trace).encode())
     h.update(model.value_batch(embed_all(model.domain)).tobytes())
     assert h.hexdigest() == LANDSCAPE_GOLDEN[which]

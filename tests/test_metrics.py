@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drexel import RunConfig, make_synthetic, run_sampler
+from drexel import RunConfig, make_synthetic, run_batch
 from drexel.domains import DomainSpec
 from drexel.errors import DomainError
 from drexel.metrics import (
@@ -299,17 +299,14 @@ class TestJumpAndSwapRates:
             jump_rate(np.array([[0, 0]]), dom)
 
     def test_swap_rate_zero_without_replica(self, two_spin_ising):
-        trace = run_sampler(two_spin_ising, RunConfig(sampler="dmala", iterations=100, seed=0, alpha=0.4))
+        trace = run_batch(two_spin_ising, RunConfig(sampler="dmala", iterations=100, alpha=0.4), [0])[0]
         assert swap_rate(trace) == 0.0
         assert trace.swapped is None
 
     def test_swap_rate_one_for_identical_chains(self, two_spin_ising):
         with pytest.warns(UserWarning):
-            cfg = RunConfig(
-                sampler="drexel", iterations=150, seed=1, alpha=0.3, tau=1.0,
-                alpha_high=0.3, tau_high=1.0,
-            )
-            trace = run_sampler(two_spin_ising, cfg)
+            cfg = RunConfig(sampler="drexel", iterations=150, alpha=0.3, tau=1.0, alpha_high=0.3, tau_high=1.0)
+            trace = run_batch(two_spin_ising, cfg, [1])[0]
         assert swap_rate(trace) == 1.0
 
     @pytest.mark.slow
@@ -319,18 +316,14 @@ class TestJumpAndSwapRates:
         rates = []
         for tau_high in (2.0, 10.0):
             cfg = RunConfig(
-                sampler="dream", iterations=20_000, seed=5, alpha=0.023, tau=1.0,
-                alpha_high=0.053, tau_high=tau_high,
+                sampler="dream", iterations=20_000, alpha=0.023, tau=1.0, alpha_high=0.053, tau_high=tau_high
             )
-            rates.append(swap_rate(run_sampler(model, cfg)))
+            rates.append(swap_rate(run_batch(model, cfg, [5])[0]))
         assert rates[1] < rates[0]
 
     def test_rates_in_unit_interval(self, two_spin_ising):
-        cfg = RunConfig(
-            sampler="drexel", iterations=200, seed=9, alpha=0.2, tau=1.0,
-            alpha_high=0.5, tau_high=2.0,
-        )
-        trace = run_sampler(two_spin_ising, cfg)
+        cfg = RunConfig(sampler="drexel", iterations=200, alpha=0.2, tau=1.0, alpha_high=0.5, tau_high=2.0)
+        trace = run_batch(two_spin_ising, cfg, [9])[0]
         assert 0.0 <= swap_rate(trace) <= 1.0
         assert 0.0 <= jump_rate(trace.states, two_spin_ising.domain) <= 1.0
 

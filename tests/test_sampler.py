@@ -18,7 +18,6 @@ from drexel import (
     make_ising_chain,
     make_synthetic,
     run_batch,
-    run_sampler,
 )
 from drexel import sampler as sampler_module
 from drexel.domains import DomainSpec, flat_index
@@ -26,7 +25,7 @@ from drexel.energies import SYNTHETIC_NAMES, EnergyModel, QuadraticEnergy
 from drexel.errors import DomainError, NumericError
 from drexel.rng import SALT_LOW, substream
 from drexel.sampler import _accepts, _Kernel, _log_softmax, _logits, _swap_probs
-from test_golden import GOLDEN, golden_config, trace_digest
+from test_golden import GOLDEN, GOLDEN_SEED, golden_config, trace_digest
 
 
 def zero_gradient_model(domain):
@@ -164,9 +163,9 @@ class TestDlsStep:
         cfg = RunConfig(iterations=50, **_run_kwargs(sampler))
         if sampler == "dmala":
             with pytest.raises(AssertionError, match="logq called"):
-                run_sampler(model, cfg)
+                run_batch(model, cfg, [8])
         else:
-            run_sampler(model, cfg)
+            run_batch(model, cfg, [8])
 
     def test_mixed_metropolis_switch_rejected(self):
         model = make_ising_chain(2, 0.15, np.zeros(2))
@@ -266,36 +265,26 @@ class TestSwapProbability:
 class TestReplica:
     def test_rho_zero_matches_standalone_low_chain(self, two_spin_ising):
         replica = RunConfig(
-            sampler="drexel", iterations=400, seed=12, alpha=0.2, tau=1.0,
-            alpha_high=0.4, tau_high=2.0, rho=0.0,
+            sampler="drexel", iterations=400, alpha=0.2, tau=1.0, alpha_high=0.4, tau_high=2.0, rho=0.0
         )
-        single = RunConfig(sampler="dula", iterations=400, seed=12, alpha=0.2, tau=1.0)
-        tr_pair = run_sampler(two_spin_ising, replica)
-        tr_single = run_sampler(two_spin_ising, single)
+        single = RunConfig(sampler="dula", iterations=400, alpha=0.2, tau=1.0)
+        tr_pair = run_batch(two_spin_ising, replica, [12])[0]
+        tr_single = run_batch(two_spin_ising, single, [12])[0]
         assert np.array_equal(tr_pair.states, tr_single.states)
         assert np.array_equal(tr_pair.energy_low, tr_single.energy_low)
         assert not tr_pair.swapped.any()
 
     def test_identical_chains_always_swap(self, two_spin_ising):
         with pytest.warns(UserWarning):
-            cfg = RunConfig(
-                sampler="drexel", iterations=200, seed=4, alpha=0.3, tau=1.0,
-                alpha_high=0.3, tau_high=1.0, rho=1.0,
-            )
-            trace = run_sampler(two_spin_ising, cfg)
+            cfg = RunConfig(sampler="drexel", iterations=200, alpha=0.3, tau=1.0, alpha_high=0.3, tau_high=1.0, rho=1.0)
+            trace = run_batch(two_spin_ising, cfg, [4])[0]
         assert trace.swapped.all()
 
-    @pytest.mark.parametrize("entry", ["run_sampler", "run_batch"])
-    def test_misordered_pair_warning_names_the_callers_line(self, two_spin_ising, entry):
-        """The replica-pair warning points at this file, whichever public function started the run."""
-        cfg = RunConfig(
-            sampler="drexel", iterations=2, seed=4, alpha=0.3, tau=2.0, alpha_high=0.3, tau_high=1.0, rho=1.0
-        )
+    def test_misordered_pair_warning_names_the_callers_line(self, two_spin_ising):
+        """The replica-pair warning points at this file, the caller of run_batch, not at a line of the package."""
+        cfg = RunConfig(sampler="drexel", iterations=2, alpha=0.3, tau=2.0, alpha_high=0.3, tau_high=1.0, rho=1.0)
         with pytest.warns(UserWarning, match="replica pair expects") as record:
-            if entry == "run_sampler":
-                run_sampler(two_spin_ising, cfg)
-            else:
-                run_batch(two_spin_ising, cfg, [cfg.seed])
+            run_batch(two_spin_ising, cfg, [4])
         assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("domain", ["grid", "spins"])
@@ -341,33 +330,30 @@ class TestReplica:
             assert 0 < swaps < 50
 
     def test_run_is_seed_deterministic(self, three_spin_ising):
-        cfg = RunConfig(
-            sampler="dream", iterations=300, seed=77, alpha=0.2, tau=1.0,
-            alpha_high=0.5, tau_high=3.0,
-        )
-        a = run_sampler(three_spin_ising, cfg)
-        b = run_sampler(three_spin_ising, cfg)
+        cfg = RunConfig(sampler="dream", iterations=300, alpha=0.2, tau=1.0, alpha_high=0.5, tau_high=3.0)
+        a = run_batch(three_spin_ising, cfg, [77])[0]
+        b = run_batch(three_spin_ising, cfg, [77])[0]
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.energy_low, b.energy_low)
         assert np.array_equal(a.swapped, b.swapped)
 
     def test_single_iteration_trace_length(self, two_spin_ising):
-        cfg = RunConfig(sampler="dula", iterations=1, seed=0, alpha=0.2)
-        trace = run_sampler(two_spin_ising, cfg)
+        cfg = RunConfig(sampler="dula", iterations=1, alpha=0.2)
+        trace = run_batch(two_spin_ising, cfg, [0])[0]
         assert trace.states.shape == (1, 2)
 
     def test_thinning_keeps_every_kth_state(self, two_spin_ising):
-        full = run_sampler(two_spin_ising, RunConfig(sampler="dula", iterations=300, seed=5, alpha=0.4))
-        thinned = run_sampler(two_spin_ising, RunConfig(sampler="dula", iterations=300, seed=5, alpha=0.4, thin=5))
+        full = run_batch(two_spin_ising, RunConfig(sampler="dula", iterations=300, alpha=0.4), [5])[0]
+        thinned = run_batch(two_spin_ising, RunConfig(sampler="dula", iterations=300, alpha=0.4, thin=5), [5])[0]
         assert thinned.states.shape == (60, 2)
         assert np.array_equal(thinned.states, full.states[::5])
         assert np.array_equal(thinned.energy_low, full.energy_low)  # stats stay per-iteration
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            RunConfig(sampler="dream", iterations=10, seed=0, alpha=0.1)  # missing high chain
+            RunConfig(sampler="dream", iterations=10, alpha=0.1)  # missing high chain
         with pytest.raises(DomainError):
-            RunConfig(sampler="nope", iterations=10, seed=0, alpha=0.1)
+            RunConfig(sampler="nope", iterations=10, alpha=0.1)
         with pytest.raises(DomainError):
             ChainParams(alpha=-1.0)
         with pytest.raises(DomainError):
@@ -375,7 +361,7 @@ class TestReplica:
 
     @pytest.mark.parametrize("prob", [-3.0, 1.5, float("nan")])
     def test_init_prob_outside_the_unit_interval_rejected(self, prob):
-        cfg = dict(sampler="dmala", iterations=10, seed=0, alpha=0.1, init="bernoulli")
+        cfg = dict(sampler="dmala", iterations=10, alpha=0.1, init="bernoulli")
         for edge in (0.0, 1.0):
             RunConfig(**cfg, init_prob=edge)
         with pytest.raises(DomainError, match="init_prob must be in"):
@@ -419,8 +405,8 @@ class TestLongRunConvergence:
         from drexel.oracle import enumerate_target
 
         pi = enumerate_target(binary_chain)
-        cfg = RunConfig(sampler=sampler, iterations=1_000_000, seed=3, alpha=0.1)
-        trace = run_sampler(binary_chain, cfg)
+        cfg = RunConfig(sampler=sampler, iterations=1_000_000, alpha=0.1)
+        trace = run_batch(binary_chain, cfg, [3])[0]
         counts = visit_counts(trace.states, binary_chain.domain)
         tv = 0.5 * np.abs(counts / counts.sum() - pi.p).sum()
         assert tv <= budget
@@ -570,7 +556,7 @@ class CountingModel(EnergyModel):
 
 
 def _run_kwargs(sampler):
-    kwargs = dict(sampler=sampler, seed=8, alpha=0.1)
+    kwargs = dict(sampler=sampler, alpha=0.1)
     if sampler in ("drexel", "dream", "bdrexel", "bdream"):
         kwargs.update(alpha_high=0.3, tau_high=2.0, sigma2=0.5)
     return kwargs
@@ -587,7 +573,7 @@ class TestOneEvaluationPerChain:
         per_run = {}
         for iters in (100, 200):
             model = CountingModel(make_synthetic("16gaussian", levels=16))
-            run_sampler(model, RunConfig(iterations=iters, **_run_kwargs(sampler)))
+            run_batch(model, RunConfig(iterations=iters, **_run_kwargs(sampler)), [8])
             per_run[iters] = model.calls
         rows = "value_and_grad_batch rows"
         assert per_run[100] == Counter({rows: chains * 101})  # one per chain at the start
@@ -601,7 +587,7 @@ class TestOneEvaluationPerChain:
         """Under the table limit, the initial states and then every state are evaluated once, whatever the length."""
         for iters in (100, 200):
             model = CountingModel(make_synthetic("16gaussian", levels=16))
-            run_sampler(model, RunConfig(iterations=iters, **_run_kwargs(sampler)))
+            run_batch(model, RunConfig(iterations=iters, **_run_kwargs(sampler)), [8])
             assert model.calls == Counter({"value_and_grad_batch rows": chains + 256})
 
 
@@ -626,12 +612,12 @@ class TestNonFiniteFailsLoudly:
         cfg = RunConfig(iterations=2000, **_run_kwargs(sampler))
         expected = r"seed 8, iteration \d+: (low|high) chain: 2 of 2 gradient entries not finite"
         with pytest.raises(NumericError, match=expected):
-            run_sampler(model, cfg)
+            run_batch(model, cfg, [8])
 
     def test_nan_at_start_names_initial_states(self):
         model = _nan_gradient_model(lambda x: True)
         with pytest.raises(NumericError, match="seed 8, initial states: low chain"):
-            run_sampler(model, RunConfig(iterations=10, **_run_kwargs("dmala")))
+            run_batch(model, RunConfig(iterations=10, **_run_kwargs("dmala")), [8])
 
     @pytest.mark.parametrize("sampler", ["dula", "dmala"])
     def test_overflowing_logits_fail_loudly(self, sampler):
@@ -639,18 +625,18 @@ class TestNonFiniteFailsLoudly:
         model = QuadraticEnergy(domain=DomainSpec.spin_pm1(2), J=np.zeros((2, 2)), b=np.array([1e306, -1e306]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="seed 8, initial states: low chain: gradient overflows the logits"):
-                run_sampler(model, RunConfig(iterations=10, **_run_kwargs(sampler), tau=1e-3))
+                run_batch(model, RunConfig(iterations=10, **_run_kwargs(sampler), tau=1e-3), [8])
 
     def test_vanishing_step_size_stays_put(self, two_spin_ising):
         """An infinite move penalty is not a numeric fault: the chain just never moves."""
         with np.errstate(over="ignore"):
-            trace = run_sampler(two_spin_ising, RunConfig(sampler="dmala", iterations=20, seed=2, alpha=1e-310))
+            trace = run_batch(two_spin_ising, RunConfig(sampler="dmala", iterations=20, alpha=1e-310), [2])[0]
         assert (trace.states == trace.states[0]).all() and trace.accepted_low.all()
 
     def test_nan_energy_fails_loudly(self):
         model = GivenGradient(DomainSpec.spin_pm1(2), np.zeros((1, 2)), energy=np.array([np.nan]))
         with pytest.raises(NumericError, match="seed 8, initial states: low chain: energy not finite"):
-            run_sampler(model, RunConfig(iterations=10, **_run_kwargs("dula")))
+            run_batch(model, RunConfig(iterations=10, **_run_kwargs("dula")), [8])
 
     @pytest.mark.parametrize("mh", [False, True], ids=["unadjusted", "metropolis"])
     def test_kernel_evaluate_rejects_nan_gradient(self, mh):
@@ -757,24 +743,24 @@ class TestRunBatch:
     @pytest.mark.parametrize("model_name,sampler", sorted(GOLDEN))
     def test_batch_traces_equal_standalone_runs(self, model_name, sampler):
         for repeats in (1, 2, 3):
-            model, cfg = golden_config(model_name, sampler, seed=0, thin=3)
+            model, cfg = golden_config(model_name, sampler, thin=3)
             seeds = [60 + 7 * r for r in range(repeats)]
             batch = run_batch(model, cfg, seeds)
             assert [t.seed for t in batch] == seeds
             for seed, trace in zip(seeds, batch):
                 assert trace.states.shape == (100, model.domain.dim)
-                assert trace_digest(trace) == trace_digest(run_sampler(model, replace(cfg, seed=seed)))
+                assert trace_digest(trace) == trace_digest(run_batch(model, cfg, [seed])[0])
 
     def test_levels_beyond_the_int16_trace_rejected(self):
         """Value indices of more than 32768 levels would wrap in the int16 trace; such a domain is refused."""
-        cfg = RunConfig(sampler="dula", iterations=3, seed=1, alpha=1e-6)
+        cfg = RunConfig(sampler="dula", iterations=3, alpha=1e-6)
         with pytest.raises(DomainError, match="at most 32768 levels, got 65536"):
-            run_sampler(make_synthetic("wave", levels=65536), cfg)
-        trace = run_sampler(make_synthetic("wave", levels=32768), cfg)
+            run_batch(make_synthetic("wave", levels=65536), cfg, [1])
+        trace = run_batch(make_synthetic("wave", levels=32768), cfg, [1])[0]
         assert trace.states.min() >= 0
 
     def test_empty_seeds_rejected(self, two_spin_ising):
-        cfg = RunConfig(sampler="dmala", iterations=10, seed=1, alpha=0.2)
+        cfg = RunConfig(sampler="dmala", iterations=10, alpha=0.2)
         with pytest.raises(DomainError, match="at least one seed"):
             run_batch(two_spin_ising, cfg, [])
 
@@ -795,7 +781,7 @@ class TestRunBatch:
         failures = []
         for seed in seeds:
             with pytest.raises(NumericError, match=r"iteration (\d+): (low|high) chain: energy not finite") as err:
-                run_sampler(model, replace(cfg, seed=seed))
+                run_batch(model, cfg, [seed])
             failures.append((int(err.value.args[0].split("iteration ")[1].split(":")[0]), str(err.value)))
         first = min(failures, key=lambda f: f[0])
         assert first[1].startswith("seed 22, ")  # the third repeat fails first
@@ -832,7 +818,7 @@ class TestTablePath:
         for (model_name, sampler), digest in sorted(GOLDEN.items()):
             model, cfg = golden_config(model_name, sampler)
             monkeypatch.setattr(sampler_module, "_DRAW_BLOCK", rows * _uniforms_per_iteration(model, cfg))
-            assert trace_digest(run_sampler(model, cfg)) == digest, (model_name, sampler)
+            assert trace_digest(run_batch(model, cfg, [GOLDEN_SEED])[0]) == digest, (model_name, sampler)
 
     @pytest.mark.parametrize("fill", [np.nan, 1e308], ids=["nan", "overflowing"])
     @pytest.mark.parametrize("sampler", ["dula", "dmala", "dream"])
@@ -842,12 +828,12 @@ class TestTablePath:
         Building the table over that region warns of nothing, and the trace is the computed path's.
         """
         model = _nan_gradient_model(lambda x: x[0] > 1.0, fill)
-        cfg = replace(RunConfig(iterations=300, **_run_kwargs(sampler)), seed=2, alpha=0.05)
+        cfg = replace(RunConfig(iterations=300, **_run_kwargs(sampler)), alpha=0.05)
         if cfg.is_replica:
             cfg = replace(cfg, alpha_high=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = run_sampler(model, cfg)
+            trace = run_batch(model, cfg, [2])[0]
             monkeypatch.setattr(sampler_module, "ENUMERATION_CAPACITY", 0)
-            assert trace_digest(run_sampler(model, cfg)) == trace_digest(trace)
+            assert trace_digest(run_batch(model, cfg, [2])[0]) == trace_digest(trace)
         assert len(np.unique(trace.states, axis=0)) > 1
