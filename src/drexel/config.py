@@ -12,7 +12,7 @@ from dataclasses import field, make_dataclass
 from .energies import SYNTHETIC_NAMES
 from .errors import ConfigError, DomainError
 from .rbm import RbmTrainConfig
-from .sampler import BDREAM, BDREXEL, DMALA, DREAM, DREXEL, DULA, REPLICA_SAMPLERS, ChainParams, RunConfig, SwapConfig
+from .sampler import BDREAM, BDREXEL, DMALA, DREAM, DREXEL, DULA, ChainParams, RunConfig, SwapConfig
 
 KINDS = ("synthetic", "ising", "rbm-train", "rbm-sample", "oracle-check")
 SAMPLING_KINDS = ("synthetic", "ising", "rbm-sample")
@@ -164,8 +164,6 @@ def _require_keys(values):
         if kind not in _SCHEMA[key][2]:
             raise ConfigError(f"kind {kind!r} never reads the {key} key")
     sampler = values.get("sampler")  # set only by a sampling kind, which must set it
-    for key in ("alpha_high", "tau_high") if sampler in REPLICA_SAMPLERS else ():
-        _require(values, key, f"sampler {sampler!r}")
     if sampler in (BDREXEL, BDREAM) and "sigma2" not in values:
         raise ConfigError(f"sampler {sampler!r} requires the sigma2 key")
     for key in _UNREAD.get(sampler, ()):
