@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, check_threads, oracle_settings, rbm_train_config, run_config
-from .domains import DomainSpec, embed_all, flat_index
+from .domains import ENUMERATION_CAPACITY, DomainSpec, embed_all, flat_index
 from .energies import make_ising_chain, make_ising_lattice, make_synthetic
 from .errors import ConfigError, DomainError
 from .metrics import (
@@ -36,6 +36,7 @@ from .metrics import (
     visit_counts,
 )
 from .oracle import (
+    SPECTRAL_CAPACITY,
     balanced_joint_kernel,
     colour_classes,
     detailed_balance_check,
@@ -137,7 +138,7 @@ def _synthetic_metrics(model, truth, truth_features, rff, trace):
 def _magnetization_truth(model, config):
     """Per-site mean spin and its source: exact when enumeration fits, else a long colour-class heat-bath reference."""
     n = model.domain.dim
-    if n <= 20:
+    if model.domain.num_states <= ENUMERATION_CAPACITY:
         return enumerate_target(model).p @ embed_all(model.domain), "enumeration"
     rng = substream(config.seed, SALT_REFERENCE)
     spins = np.where(rng.random(n) < 0.5, 1.0, -1.0)[None, :]
@@ -316,7 +317,7 @@ def _run_oracle_check(config: ExperimentConfig, out):
     tv = 0.5 * np.abs(pair_target.p - product.p).sum()
     lines.append(f"tv_pair_target_vs_product = {tv:.6e}")
 
-    if model.domain.num_states**2 <= 256:
+    if model.domain.num_states**2 <= SPECTRAL_CAPACITY:
         report = spectral_tv_bound_check(balanced, pair_target, n_max=config.n_max)
         lines.append(f"spectral_lambda_star = {report.lambda_star:.12f}")
         # fixed point: eigh's eigenvalues round at the 1e-16 level by BLAS thread count

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from drexel import harness
 from drexel.config import _SCHEMA, parse_config, run_config
 from drexel.domains import DomainSpec, embed_all
 from drexel.energies import EnergyModel, make_ising_lattice
@@ -291,6 +292,23 @@ init_prob = 0.6
         meta = (tmp_path / "meta.txt").read_text()
         assert "magnetization_truth = enumeration" in meta
 
+    def test_truth_follows_the_enumeration_capacity(self, tmp_path, monkeypatch):
+        """Past the harness's ENUMERATION_CAPACITY, here lowered to 2^8, a 3x3 lattice (2^9 states) takes the reference."""
+        monkeypatch.setattr(harness, "ENUMERATION_CAPACITY", 1 << 8)
+        cfg = parse_config(
+            """
+kind = ising
+side = 3
+sampler = dmala
+alpha = 0.4
+iterations = 20
+seed = 3
+reference_steps = 50
+"""
+        )
+        run_experiment(cfg, out=str(tmp_path))
+        assert "magnetization_truth = gibbs_reference(50 sweeps)" in (tmp_path / "meta.txt").read_text()
+
 
 class TestRbmPipeline:
     def test_train_then_sample(self, tmp_path):
@@ -356,13 +374,28 @@ seed = 1
         assert "spectral_pass = True" in report
         assert summary["overall_pass"][0] == 1.0
 
+    def test_spectral_check_follows_the_capacity(self, tmp_path, monkeypatch):
+        """2 spins have 16 pair states; with SPECTRAL_CAPACITY lowered to 15 the report leaves the spectral check out."""
+        monkeypatch.setattr(harness, "SPECTRAL_CAPACITY", 15)
+        cfg = parse_config(
+            """
+kind = oracle-check
+spins = 2
+alpha = 0.2
+alpha_high = 0.4
+tau_high = 2.0
+seed = 1
+"""
+        )
+        run_experiment(cfg, out=str(tmp_path))
+        report = (tmp_path / "report.txt").read_text()
+        assert "spectral" not in report and "joint_balanced_db_pass = True" in report
+
 
 @pytest.mark.parametrize("bad", ["tau = 0", "thin = 0", "init = bernouli"])
 @pytest.mark.parametrize("kind", ["synthetic", "ising", "rbm-sample"])
 def test_sampler_values_checked_before_model_work(tmp_path, monkeypatch, kind, bad):
     """A bad sampler value fails before the model, its truth or its reference is built."""
-    from drexel import harness
-
     def no_model_work(*args, **kwargs):
         raise AssertionError("model work started before the sampler values were checked")
 
@@ -388,8 +421,6 @@ def test_sampler_values_checked_before_model_work(tmp_path, monkeypatch, kind, b
 @pytest.mark.parametrize("bad", ["field = nan", "field = inf", "coupling = inf"])
 def test_non_finite_ising_model_rejected_before_the_reference(tmp_path, monkeypatch, bad):
     """The model build rejects a non-finite field or coupling; the heat-bath reference never starts."""
-    from drexel import harness
-
     def no_reference(*args, **kwargs):
         raise AssertionError("the reference started before the model was checked")
 
