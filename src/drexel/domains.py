@@ -93,13 +93,13 @@ def flat_index(states: np.ndarray, domain: DomainSpec) -> np.ndarray:
 def all_states(domain: DomainSpec) -> np.ndarray:
     """All index vectors in flat index order, coordinate 0 most significant, shape (num_states, dim).
 
-    CapacityError past ENUMERATION_CAPACITY.
+    C-ordered, as a batch of chain states is.  CapacityError past ENUMERATION_CAPACITY.
     """
     n = domain.num_states
     if n > ENUMERATION_CAPACITY:
         raise CapacityError(f"domain has {n} states, enumeration capped at {ENUMERATION_CAPACITY}")
     grids = np.indices((domain.levels,) * domain.dim).reshape(domain.dim, n)
-    return grids.T.astype(np.int64)
+    return grids.T.astype(np.int64, order="C")
 
 
 def embed_all(domain: DomainSpec) -> np.ndarray:

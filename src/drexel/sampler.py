@@ -204,15 +204,15 @@ class _Kernel:
 
         They fit when num_states x dim x levels x settings <= ENUMERATION_CAPACITY.
         evaluate and table then gather rows with the computed bits: one
-        value_and_grad_batch call over C-ordered states (F-ordered ones take
-        other loops in np.vecdot), and the same elementwise table arithmetic.
+        value_and_grad_batch call over all_states, and the same elementwise
+        table arithmetic.
         A gathered row is checked as a computed one, at a chain's first visit.
         """
         domain, settings = self.model.domain, np.stack([self.alpha, self.tau], axis=1)
         _, first, self.setting = np.unique(settings, axis=0, return_index=True, return_inverse=True)
         if domain.num_states * domain.dim * domain.levels * len(first) > ENUMERATION_CAPACITY:
             return
-        states = np.ascontiguousarray(all_states(domain))
+        states = all_states(domain)
         x, logp = self.values[states], np.empty((len(first), *states.shape, domain.levels))
         rows = max(1, (1 << 14) // (domain.dim * domain.levels))  # states per slice: small temporaries
         with np.errstate(all="ignore"):

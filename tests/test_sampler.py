@@ -802,7 +802,6 @@ class TestTablePath:
     @pytest.mark.parametrize("sampler", ["dula", "dmala", "drexel", "dream", "bdrexel", "bdream"])
     @pytest.mark.parametrize("model_name", SYNTHETIC_NAMES + ("ising2", "rbm12"))
     def test_traces_equal_the_computed_path(self, model_name, sampler, monkeypatch):
-        """rbm12 needs the table's energies from C-ordered states: F-ordered ones take other loops in np.vecdot."""
         model, cfg = golden_config("grid16" if model_name in SYNTHETIC_NAMES else model_name, sampler)
         if model_name in SYNTHETIC_NAMES:
             model = make_synthetic(model_name, levels=16)
