@@ -205,7 +205,7 @@ mmd_features = 40
 
 WHOLE_RUN_GOLDEN = {
     "synthetic": "b6fd8d5e7d8a32ee5b4cecd6acd5b1e0a68151ca226ed43fa9bd2becabb9a578",
-    "ising": "18abe81285eb112836f848b1dd99ba50227f322f380ce81dcaafe5972870a5e1",
+    "ising": "18b397ef9a5027b78605f5cd0080af2aa487fcf94942c65d90f106fbb279b46b",
     "rbm-sample": "4f1d39b8048f4bd01cad69752e9e13915a3bfac7e0be7cfd76cf91ddd6ebc5f3",
 }
 
