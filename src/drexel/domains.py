@@ -93,7 +93,7 @@ def flat_index(states: np.ndarray, domain: DomainSpec) -> np.ndarray:
 def all_states(domain: DomainSpec) -> np.ndarray:
     """All index vectors in flat index order, coordinate 0 most significant, shape (num_states, dim).
 
-    C-ordered, as a batch of chain states is.  CapacityError past ENUMERATION_CAPACITY.
+    C-ordered, so a batch energy over the rows has each row's own bits.  CapacityError past ENUMERATION_CAPACITY.
     """
     n = domain.num_states
     if n > ENUMERATION_CAPACITY:
