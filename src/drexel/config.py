@@ -7,82 +7,79 @@ checks is checked there only: parse_config builds the ones its kind runs
 with, through the same functions the harness calls.
 """
 
-from dataclasses import field, make_dataclass
+from dataclasses import field, fields, make_dataclass
 
 from .energies import SYNTHETIC_NAMES
 from .errors import ConfigError, DomainError
 from .rbm import RbmTrainConfig
-from .sampler import BDREAM, BDREXEL, DMALA, DREAM, DREXEL, DULA, ChainParams, RunConfig, SwapConfig
+from .sampler import BDREAM, BDREXEL, REPLICA_SAMPLERS, SINGLE_CHAIN_SAMPLERS, ChainParams, RunConfig, SwapConfig
 
 KINDS = ("synthetic", "ising", "rbm-train", "rbm-sample", "oracle-check")
 SAMPLING_KINDS = ("synthetic", "ising", "rbm-sample")
-_REQUIRED = {
-    "synthetic": ("sampler", "alpha", "iterations", "energy"),
-    "ising": ("sampler", "alpha", "iterations", "side"),
-    "rbm-train": ("visible", "hidden"),
-    "rbm-sample": ("sampler", "alpha", "iterations", "weights"),
-    "oracle-check": ("alpha", "alpha_high", "tau_high"),
-}
 # integer keys that no settings object checks -> least value, checked under the kinds that read them
 _LEAST = {
     "repeats": 1, "grid_levels": 2, "side": 2, "visible": 1, "spins": 1, "n_max": 1, "mmd_features": 1,
     "reference_samples": 2,  # the MMD bandwidth is their median pairwise distance
     "reference_steps": 1, "gibbs_burn_in": 0,
 }
-# sampler -> the sampler keys it never reads, which a sampling kind may not set
-_UNREAD = dict.fromkeys((DULA, DMALA), ("alpha_high", "tau_high", "rho", "sigma2"))
-_UNREAD |= dict.fromkeys((DREXEL, DREAM), ("sigma2",))
 
 _CHAIN_KINDS = SAMPLING_KINDS + ("oracle-check",)
-# key -> (type, default, the kinds that read it); a file may set only the keys its kind reads.  A key that a
-# kind reads under some values of other keys only (c, init_prob, reference_steps, modes, per_mode, flip_prob)
-# is accepted under every value.  kind and seed have no default, and _REQUIRED lists the keys each kind must
-# set; oracle-check requires a seed it never reads, so that --seed always has a target
+# key -> (type, default, readers): the kinds that read the key and, where it names samplers, the only samplers
+# under which a sampling kind reads it (see reads).  A file may set only the keys its run reads, and must set
+# each of them whose default is None.  A key that a kind reads under some values of other keys only (c,
+# init_prob, reference_steps, modes, per_mode, flip_prob) is read under every value.  oracle-check requires a
+# seed it never reads, so that --seed always has a target
 _SCHEMA = {
     "kind": (str, None, KINDS),
     "out": (str, "runs/out", KINDS),
     "seed": (int, None, KINDS),
     "repeats": (int, 1, SAMPLING_KINDS),
     "threads": (int, 1, SAMPLING_KINDS),
-    "sampler": (str, "", SAMPLING_KINDS),
-    "alpha": (float, 0.0, _CHAIN_KINDS),
-    "tau": (float, 1.0, _CHAIN_KINDS),
-    "alpha_high": (float, 0.0, _CHAIN_KINDS),
-    "tau_high": (float, 0.0, _CHAIN_KINDS),
-    "rho": (float, 1.0, _CHAIN_KINDS),
-    "sigma2": (float, 0.0, SAMPLING_KINDS),
-    "iterations": (int, 0, SAMPLING_KINDS),
-    "thin": (int, 1, SAMPLING_KINDS),
-    "init": (str, "uniform", SAMPLING_KINDS),
-    "init_prob": (float, 0.5, SAMPLING_KINDS),
-    "energy": (str, "", ("synthetic",)),
+    "sampler": (str, None, SAMPLING_KINDS),
+    "alpha": (float, None, _CHAIN_KINDS),
+    "tau": (float, RunConfig.tau, _CHAIN_KINDS),
+    "alpha_high": (float, None, _CHAIN_KINDS + REPLICA_SAMPLERS),
+    "tau_high": (float, None, _CHAIN_KINDS + REPLICA_SAMPLERS),
+    "rho": (float, RunConfig.rho, _CHAIN_KINDS + REPLICA_SAMPLERS),
+    "sigma2": (float, None, SAMPLING_KINDS + (BDREXEL, BDREAM)),
+    "iterations": (int, None, SAMPLING_KINDS),
+    "thin": (int, RunConfig.thin, SAMPLING_KINDS),
+    "init": (str, RunConfig.init, SAMPLING_KINDS),
+    "init_prob": (float, RunConfig.init_prob, SAMPLING_KINDS),
+    "energy": (str, None, ("synthetic",)),
     "grid_levels": (int, 64, ("synthetic",)),
     "c": (float, 2.0, ("synthetic",)),
     "heatmap": (bool, True, ("synthetic",)),
     "mmd_features": (int, 500, ("synthetic", "rbm-sample")),
     "reference_samples": (int, 10000, ("synthetic",)),
-    "side": (int, 0, ("ising",)),
+    "side": (int, None, ("ising",)),
     "coupling": (float, 0.15, ("ising", "oracle-check")),
     "periodic": (bool, True, ("ising",)),
     "field": (float, 0.0, ("ising", "oracle-check")),
     "reference_steps": (int, 1_000_000, ("ising",)),
-    "visible": (int, 0, ("rbm-train",)),
-    "hidden": (int, 0, ("rbm-train",)),
-    "cd_k": (int, 10, ("rbm-train",)),
-    "learning_rate": (float, 0.001, ("rbm-train",)),
-    "train_iterations": (int, 1000, ("rbm-train",)),
-    "batch_size": (int, 128, ("rbm-train",)),
+    "visible": (int, None, ("rbm-train",)),
+    "hidden": (int, None, ("rbm-train",)),
+    "cd_k": (int, RbmTrainConfig.cd_k, ("rbm-train",)),
+    "learning_rate": (float, RbmTrainConfig.learning_rate, ("rbm-train",)),
+    "train_iterations": (int, RbmTrainConfig.iterations, ("rbm-train",)),
+    "batch_size": (int, RbmTrainConfig.batch_size, ("rbm-train",)),
     "dataset": (str, "synthetic", ("rbm-train",)),
     "modes": (int, 4, ("rbm-train",)),
     "per_mode": (int, 250, ("rbm-train",)),
     "flip_prob": (float, 0.05, ("rbm-train",)),
     "weights_out": (str, "rbm_weights.bin", ("rbm-train",)),
-    "weights": (str, "", ("rbm-sample",)),
+    "weights": (str, None, ("rbm-sample",)),
     "gibbs_burn_in": (int, 1000, ("rbm-sample",)),
     "spins": (int, 2, ("oracle-check",)),
     "with_mh": (bool, False, ("oracle-check",)),
     "n_max": (int, 50, ("oracle-check",)),
 }
+
+
+def reads(kind, sampler, key) -> bool:
+    """Whether a run of the kind reads the key; sampler is the run's sampler, or None for a kind without one."""
+    readers = _SCHEMA[key][2]
+    return kind in readers and (sampler is None or sampler in readers or set(readers) <= set(KINDS))
 
 
 ExperimentConfig = make_dataclass(
@@ -146,29 +143,23 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
-def _require(values, key, context):
-    if key not in values:
-        raise ConfigError(f"{context} requires key {key!r}")
-
-
 def _require_keys(values):
-    """The keys that every file, its kind and its sampler must set."""
-    _require(values, "kind", "every config")
-    kind = values["kind"]
+    """Each key the file sets must be read by its run, and each key its run reads without a default set."""
+    kind = values.get("kind")
     if kind not in KINDS:
-        raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    _require(values, "seed", "every config")
-    for key in _REQUIRED[kind]:
-        _require(values, key, f"kind {kind!r}")
-    for key in values:
-        if kind not in _SCHEMA[key][2]:
-            raise ConfigError(f"kind {kind!r} never reads the {key} key")
-    sampler = values.get("sampler")  # set only by a sampling kind, which must set it
-    if sampler in (BDREXEL, BDREAM) and "sigma2" not in values:
-        raise ConfigError(f"sampler {sampler!r} requires the sigma2 key")
-    for key in _UNREAD.get(sampler, ()):
-        if key in values:
-            raise ConfigError(f"sampler {sampler!r} never reads the {key} key")
+        raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}" if "kind" in values
+                          else "every config requires key 'kind'")
+    sampler = values.get("sampler")
+    if kind in SAMPLING_KINDS and sampler not in SINGLE_CHAIN_SAMPLERS + REPLICA_SAMPLERS + (None,):
+        raise ConfigError(f"unknown sampler {sampler!r}")  # before it is said to read no key
+    for key, (_, default, readers) in _SCHEMA.items():  # sampler comes before every key that names samplers
+        read = reads(kind, sampler, key)
+        if key in values and not read:
+            owner = f"sampler {sampler!r}" if kind in readers else f"kind {kind!r}"
+            raise ConfigError(f"{owner} never reads the {key} key")
+        if key not in values and default is None and read:
+            owner = f"sampler {sampler!r}" if sampler in readers else f"kind {kind!r}"
+            raise ConfigError(f"{owner} requires key {key!r}")
 
 
 def check_threads(threads: int) -> int:
@@ -182,7 +173,7 @@ def _validate(config):
     """The values that no settings object checks."""
     check_threads(config.threads)
     for key, least in _LEAST.items():
-        if config.kind in _SCHEMA[key][2] and getattr(config, key) < least:
+        if reads(config.kind, config.sampler, key) and getattr(config, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")
     if config.kind == "synthetic" and config.energy not in SYNTHETIC_NAMES:
         raise ConfigError(f"unknown energy {config.energy!r}; expected one of {SYNTHETIC_NAMES}")
@@ -196,12 +187,10 @@ def _validate(config):
 
 
 def run_config(config: ExperimentConfig) -> RunConfig:
-    """The RunConfig of every repeat; alpha_high = tau_high = 0.0 leaves them unset."""
-    return RunConfig(
-        sampler=config.sampler, iterations=config.iterations, alpha=config.alpha, tau=config.tau,
-        alpha_high=config.alpha_high or None, tau_high=config.tau_high or None, rho=config.rho,
-        sigma2=config.sigma2, thin=config.thin, init=config.init, init_prob=config.init_prob,
-    )
+    """The RunConfig of every repeat, from the keys its run reads; RunConfig's defaults stand for the others."""
+    return RunConfig(**{
+        f.name: getattr(config, f.name) for f in fields(RunConfig) if reads(config.kind, config.sampler, f.name)
+    })
 
 
 def oracle_settings(config: ExperimentConfig) -> tuple:

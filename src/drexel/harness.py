@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, check_threads, oracle_settings, rbm_train_config, run_config
+from .config import ExperimentConfig, check_threads, oracle_settings, rbm_train_config, reads, run_config
 from .domains import ENUMERATION_CAPACITY, DomainSpec, embed_all, flat_index
 from .energies import make_ising_chain, make_ising_lattice, make_synthetic
 from .errors import ConfigError, DomainError
@@ -187,11 +187,14 @@ def _run_repeats(model, run, seeds, measure, threads):
 
 
 def _write_meta(out, config, extra=None):
+    """The keys the run read, but out and threads, which change no artifact; the repeat seeds, if any; extra."""
     with open(os.path.join(out, "meta.txt"), "w") as fh:
         fh.write(f"drexel_version = {__version__}\n")
         for key, value in sorted(vars(config).items()):
-            fh.write(f"{key} = {value}\n")
-        fh.write(f"repeat_seeds = {','.join(str(config.seed + r) for r in range(config.repeats))}\n")
+            if key not in ("out", "threads") and reads(config.kind, config.sampler, key):
+                fh.write(f"{key} = {value}\n")
+        if reads(config.kind, config.sampler, "repeats"):
+            fh.write(f"repeat_seeds = {','.join(str(config.seed + r) for r in range(config.repeats))}\n")
         for line in extra or ():
             fh.write(line + "\n")
 

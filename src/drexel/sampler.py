@@ -332,11 +332,11 @@ class RunConfig:
     sampler: str
     iterations: int
     alpha: float
-    tau: float = 1.0
+    tau: float = ChainParams.tau
     alpha_high: Optional[float] = None
     tau_high: Optional[float] = None
-    rho: float = 1.0
-    sigma2: float = 0.0
+    rho: float = SwapConfig.rho
+    sigma2: float = SwapConfig.sigma2
     thin: int = 1
     init: str = "uniform"  # or "bernoulli" with init_prob for two-level domains
     init_prob: float = 0.5

@@ -84,7 +84,7 @@ def work(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def artifacts(work):
-    """config text -> {file name: bytes} of its run, meta.txt aside (it echoes every key, read or not)."""
+    """config text -> {file name: bytes} of its run, meta.txt aside (it echoes each key the run reads by construction)."""
     runs = {}
 
     def run(text):

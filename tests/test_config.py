@@ -128,6 +128,10 @@ READS = {
 }
 
 
+# a valid value of each key that has no default (kind and seed are in every base)
+SET_VALUES = RUN_KEYS | CHAIN_KEYS | {"energy": "wave", "side": "4", "visible": "16", "hidden": "8", "weights": "w.bin"}
+
+
 @pytest.mark.parametrize("kind", sorted(READS))
 def test_each_kind_accepts_exactly_the_keys_it_reads(kind):
     """Every schema key outside the kind's read keys fails at parse time; none of its read keys fails for its kind."""
@@ -136,7 +140,7 @@ def test_each_kind_accepts_exactly_the_keys_it_reads(kind):
     for key, (_, default, _) in _SCHEMA.items():
         if f"\n{key} = " in f"\n{base}":
             continue
-        text = base + f"{key} = {default}\n"
+        text = base + f"{key} = {SET_VALUES[key] if default is None else default}\n"
         if key not in READS[kind]:
             with pytest.raises(ConfigError, match=f"^kind '{kind}' never reads the {key} key$"):
                 parse_config(text)

@@ -551,3 +551,49 @@ class TestCli:
         assert a.returncode == b.returncode == 0
         assert (tmp_path / "a" / "run_100.csv").exists()
         assert (tmp_path / "a" / "run_100.csv").read_bytes() == (tmp_path / "b" / "run_100.csv").read_bytes()
+
+    # kind -> (config, the names of its meta.txt lines): the keys its run reads, but out and threads, and the
+    # lines the harness adds (drexel_version, repeat_seeds, and the kind's reference or weights line)
+    SAMPLING_META = {"drexel_version", "kind", "seed", "repeats", "repeat_seeds", "sampler", "alpha", "tau",
+                     "iterations", "thin", "init", "init_prob"}
+    TRAIN_CFG = "kind = rbm-train\nvisible = 6\nhidden = 2\ntrain_iterations = 2\nbatch_size = 4\nseed = 1\n"
+    META = {
+        "synthetic": (SYNTH_CFG, SAMPLING_META | {
+            "energy", "grid_levels", "c", "heatmap", "mmd_features", "reference_samples", "mmd_bandwidth"}),
+        "ising": (
+            "kind = ising\nside = 3\nsampler = bdream\nalpha = 0.4\nalpha_high = 0.9\ntau_high = 2.0\nsigma2 = 0.1\n"
+            "iterations = 20\nrepeats = 2\nseed = 3\n",
+            SAMPLING_META | {"alpha_high", "tau_high", "rho", "sigma2", "side", "coupling", "periodic", "field",
+                             "reference_steps", "magnetization_truth"},
+        ),
+        "rbm-sample": (
+            "kind = rbm-sample\nweights = {weights}\nsampler = drexel\nalpha = 0.2\nalpha_high = 0.4\ntau_high = 2.0\n"
+            "iterations = 20\nrepeats = 2\nseed = 9\ngibbs_burn_in = 5\nmmd_features = 10\n",
+            SAMPLING_META | {"alpha_high", "tau_high", "rho", "weights", "gibbs_burn_in", "mmd_features",
+                             "gibbs_reference"},
+        ),
+        "rbm-train": (TRAIN_CFG, {
+            "drexel_version", "kind", "seed", "visible", "hidden", "cd_k", "learning_rate", "train_iterations",
+            "batch_size", "dataset", "modes", "per_mode", "flip_prob", "weights_out", "weights"}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(META))
+    def test_meta_records_the_keys_the_run_read(self, tmp_path, kind):
+        """meta.txt under --out (and --threads 2 where the kind samples) holds no key its run did not read.
+
+        Neither out nor threads changes an artifact, and the flags override both, so neither is recorded;
+        dmala reads no high chain, swap or sigma2, drexel no sigma2, and rbm-train runs no repeats.
+        """
+        from drexel import cli
+
+        weights = tmp_path / "train" / "rbm_weights.bin"
+        if kind == "rbm-sample":
+            (tmp_path / "train.cfg").write_text(self.TRAIN_CFG)
+            assert cli.main(["rbm-train", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "train")]) == 0
+        text, expected = self.META[kind]
+        (tmp_path / "exp.cfg").write_text(text.format(weights=weights))
+        flags = ["--out", str(tmp_path / "out")] + (["--threads", "2"] if kind != "rbm-train" else [])
+        assert cli.main(["run", str(tmp_path / "exp.cfg"), *flags]) == 0
+        lines = (tmp_path / "out" / "meta.txt").read_text().splitlines()
+        names = [line.partition(" = ")[0] for line in lines]
+        assert sorted(names) == sorted(expected)
