@@ -204,9 +204,9 @@ mmd_features = 40
 }
 
 WHOLE_RUN_GOLDEN = {
-    "synthetic": "b6fd8d5e7d8a32ee5b4cecd6acd5b1e0a68151ca226ed43fa9bd2becabb9a578",
-    "ising": "18b397ef9a5027b78605f5cd0080af2aa487fcf94942c65d90f106fbb279b46b",
-    "rbm-sample": "4f1d39b8048f4bd01cad69752e9e13915a3bfac7e0be7cfd76cf91ddd6ebc5f3",
+    "synthetic": "6f8712110428ca07c82b51831ddfdbe0a4fcf460cf204579519fa959b0a2f014",
+    "ising": "23806247f945c0584535cf46bd95c8812f9ff35b94598daabf85f0098eaeddd6",
+    "rbm-sample": "2e639aef9fbb7d25d0a3a3571561968b9c1c5c02d4fbcc88938f0aeed6587035",
 }
 
 
@@ -258,7 +258,7 @@ flip_prob = 0.05
 seed = 53
 """
 
-RBM_TRAIN_GOLDEN = "df071db019a9010a5bd88be2443641909a62a0a9bb3db7f85e9dac7b4e801e97"
+RBM_TRAIN_GOLDEN = "5bfecbbde13a7592f286748608ea4ad7175b77c8f45f264a39026592d59f4e3c"
 
 
 def test_rbm_train_hash(tmp_path, monkeypatch):
