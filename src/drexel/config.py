@@ -77,7 +77,7 @@ _SCHEMA = {
 
 
 def reads(kind, sampler, key) -> bool:
-    """Whether a run of the kind reads the key; sampler is the run's sampler, or None for a kind without one."""
+    """Whether a run of the kind reads the key; sampler is the run's sampler, None for a kind that runs none."""
     readers = _SCHEMA[key][2]
     return kind in readers and (sampler is None or sampler in readers or set(readers) <= set(KINDS))
 
