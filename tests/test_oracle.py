@@ -12,13 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drexel import ChainParams, SwapConfig, make_ising_chain, make_ising_lattice, make_synthetic
+from drexel import ChainParams, SwapConfig, make_ising_chain, make_ising_lattice, make_synthetic, oracle
 from drexel.domains import DomainSpec, embed_all
 from drexel.energies import QuadraticEnergy, RbmFreeEnergy, _sigmoid
 from drexel.errors import CapacityError, DomainError, NumericError, PreconditionError, UnsupportedModelError
 from drexel.oracle import (
     Kernel,
     Pmf,
+    _rows_that_can_hold_the_max,
     _swap_prob_grid,
     balanced_joint_kernel,
     colour_classes,
@@ -405,6 +406,44 @@ class TestSpectral:
         K = exact_joint_kernel(two_spin_ising, low, high, SwapConfig(variant="history", rho=1.0))
         with pytest.raises(PreconditionError):
             spectral_tv_bound_check(K, pt, n_max=10)
+
+    @staticmethod
+    def every_row_violation(K, pmf, lambda_star, n_max):
+        """The maximum of TV - bound over n = 1..n_max with every row of K^n stepped: the reference for the skip."""
+        Kn = np.eye(K.shape[0])
+        worst = -np.inf
+        for step in range(1, n_max + 1):
+            Kn = Kn @ K
+            tv = 0.5 * np.abs(Kn - pmf.p[None, :]).sum(axis=1)
+            worst = max(worst, float((tv - lambda_star**step / (2.0 * np.sqrt(pmf.p)) - oracle.SPECTRAL_SLACK).max()))
+        return worst
+
+    # (kernel, n_max, SPECTRAL_SLACK, whether some row is skipped, whether the bound holds); the negative
+    # slacks make the maximum a positive violation, on a kernel where no row is skipped and on one where most are
+    @pytest.mark.parametrize("which, n_max, slack, skips, holds", [
+        (2, 50, oracle.SPECTRAL_SLACK, False, True),
+        (3, 50, oracle.SPECTRAL_SLACK, True, True),
+        (4, 50, oracle.SPECTRAL_SLACK, True, True),
+        ("identity", 10, oracle.SPECTRAL_SLACK, False, True),
+        (4, 1, oracle.SPECTRAL_SLACK, True, True),
+        ("identity", 10, -0.5, False, False),
+        (4, 50, -3.0, True, False),
+    ])
+    def test_skipped_rows_cannot_hold_the_max(self, monkeypatch, which, n_max, slack, skips, holds):
+        """The reported violation equals the one with every row stepped, to 1e-12 relative."""
+        monkeypatch.setattr(oracle, "SPECTRAL_SLACK", slack)
+        if which == "identity":
+            K, pmf = Kernel(matrix=np.eye(3)), Pmf(p=np.array([0.25, 0.25, 0.5]))
+        else:
+            model = make_ising_chain(which, 0.15, np.zeros(which))
+            low, high = ChainParams(alpha=0.2, tau=1.0), ChainParams(alpha=0.4, tau=2.0)
+            K, pmf = balanced_joint_kernel(model, low, high), intermediate_pair_pmf(model, low, high)
+        report = spectral_tv_bound_check(K, pmf, n_max=n_max)
+        expected = self.every_row_violation(K.matrix, pmf, report.lambda_star, n_max)
+        assert report.max_bound_violation == pytest.approx(expected, rel=1e-12, abs=0)
+        assert report.bound_holds is holds
+        assert (not _rows_that_can_hold_the_max(K.matrix, pmf, report.lambda_star, n_max).all()) is skips
+
 
 class TestBlockGibbs:
     def test_zero_weights_uniform(self):
