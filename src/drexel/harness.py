@@ -323,7 +323,7 @@ def _run_oracle_check(config: ExperimentConfig, out):
     if model.domain.num_states**2 <= SPECTRAL_CAPACITY:
         report = spectral_tv_bound_check(balanced, pair_target, n_max=config.n_max)
         lines.append(f"spectral_lambda_star = {report.lambda_star:.12f}")
-        # fixed point: eigh's eigenvalues round at the 1e-16 level by BLAS thread count
+        # fixed point: the eigenvalues round at the 1e-16 level by BLAS thread count
         lines.append(f"spectral_lambda0_error = {report.lambda0_error:.12f}")
         lines.append(f"spectral_max_bound_violation = {report.max_bound_violation:.3e}")
         lines.append(f"spectral_eigenvalues = {','.join(f'{w:.9f}' for w in report.eigenvalues)}")
@@ -333,4 +333,5 @@ def _run_oracle_check(config: ExperimentConfig, out):
     lines.append(f"overall_pass = {ok}")
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    _write_meta(out, config)
     return {"overall_pass": (1.0 if ok else 0.0, 0.0)}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from drexel import harness
-from drexel.config import _SCHEMA, parse_config, run_config
+from drexel.config import _SCHEMA, SAMPLING_KINDS, parse_config, run_config
 from drexel.domains import DomainSpec, embed_all
 from drexel.energies import EnergyModel, make_ising_lattice
 from drexel.errors import ConfigError, DomainError
@@ -575,6 +575,11 @@ class TestCli:
         "rbm-train": (TRAIN_CFG, {
             "drexel_version", "kind", "seed", "visible", "hidden", "cd_k", "learning_rate", "train_iterations",
             "batch_size", "dataset", "modes", "per_mode", "flip_prob", "weights_out", "weights"}),
+        "oracle-check": (
+            "kind = oracle-check\nspins = 2\nalpha = 0.2\nalpha_high = 0.4\ntau_high = 2.0\nn_max = 5\nseed = 1\n",
+            {"drexel_version", "kind", "seed", "alpha", "tau", "alpha_high", "tau_high", "rho", "spins", "coupling",
+             "field", "with_mh", "n_max"},
+        ),
     }
 
     @pytest.mark.parametrize("kind", sorted(META))
@@ -582,7 +587,7 @@ class TestCli:
         """meta.txt under --out (and --threads 2 where the kind samples) holds no key its run did not read.
 
         Neither out nor threads changes an artifact, and the flags override both, so neither is recorded;
-        dmala reads no high chain, swap or sigma2, drexel no sigma2, and rbm-train runs no repeats.
+        dmala reads no high chain, swap or sigma2, drexel no sigma2, and rbm-train and oracle-check run no repeats.
         """
         from drexel import cli
 
@@ -592,7 +597,7 @@ class TestCli:
             assert cli.main(["rbm-train", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "train")]) == 0
         text, expected = self.META[kind]
         (tmp_path / "exp.cfg").write_text(text.format(weights=weights))
-        flags = ["--out", str(tmp_path / "out")] + (["--threads", "2"] if kind != "rbm-train" else [])
+        flags = ["--out", str(tmp_path / "out")] + (["--threads", "2"] if kind in SAMPLING_KINDS else [])
         assert cli.main(["run", str(tmp_path / "exp.cfg"), *flags]) == 0
         lines = (tmp_path / "out" / "meta.txt").read_text().splitlines()
         names = [line.partition(" = ")[0] for line in lines]
